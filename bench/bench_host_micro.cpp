@@ -101,6 +101,42 @@ void BM_SpecializeDotprod(benchmark::State &State) {
 }
 BENCHMARK(BM_SpecializeDotprod);
 
+/// One cold request: a fresh row per iteration, specialized and then
+/// invoked once, so the generated code runs exactly once. Reports the
+/// host time per generated word (report only, not gated).
+void BM_SpecializeAndRunFresh(benchmark::State &State) {
+  FabiusOptions Opts;
+  Opts.Backend = deferredOptionsFor(MatmulSrc);
+  Compilation C = compileOrDie(MatmulSrc, Opts);
+  auto M = std::make_unique<Machine>(C.Unit);
+  Rng R(1);
+  std::vector<int32_t> Row(64, 1);
+  uint32_t Col = M->heap().vector(Row);
+  uint64_t Specs = 0, Words = 0;
+  for (auto _ : State) {
+    for (auto &V : Row)
+      V = static_cast<int32_t>(R.below(1000));
+    const uint64_t Before = M->stats().DynWordsWritten;
+    uint32_t Spec =
+        M->specializeOrDie("dotloop", {M->heap().vector(Row), 0, 64});
+    benchmark::DoNotOptimize(M->invokeOrDie<int32_t>(Spec, {Col, 0}));
+    Words += M->stats().DynWordsWritten - Before;
+    if (++Specs > 1800) { // stay below the memo capacity
+      State.PauseTiming();
+      M = std::make_unique<Machine>(C.Unit);
+      Col = M->heap().vector(std::vector<int32_t>(64, 1));
+      Specs = 0;
+      State.ResumeTiming();
+    }
+  }
+  // Rate of Words / 1e9 over elapsed seconds, inverted: ns per word.
+  State.counters["host_ns_per_generated_word"] =
+      benchmark::Counter(static_cast<double>(Words) / 1e9,
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SpecializeAndRunFresh);
+
 /// Console output as usual, plus every finished run's rate counters and
 /// wall time folded into the shared BenchReport so host numbers land in
 /// BENCH_host_micro.json alongside the figure benches' simulated cycles.

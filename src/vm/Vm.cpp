@@ -4,9 +4,11 @@
 // basic blocks from a cache keyed by entry PC and falls back to the
 // original per-instruction fetch/decode interpreter (stepSlow) whenever
 // exact modeling demands it — fault injector armed, fuel nearly exhausted,
-// or a dirty (unflushed) I-cache line under the block. The two tiers are
-// bit-identical in every observable: registers, memory, VmStats, fault
-// PCs, trap values, coherence-violation counts.
+// or a dirty (unflushed) I-cache line under the block — and on the first
+// entry into dynamic-segment code, which is predecoded only if execution
+// comes back. The two tiers are bit-identical in every observable:
+// registers, memory, VmStats, fault PCs, trap values, coherence-violation
+// counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -238,6 +240,9 @@ uint8_t functTag(Funct Fn) {
 Vm::Vm(VmOptions Options) : Opts(Options) {
   assert(Opts.MemBytes >= 4 && (Opts.MemBytes & 3) == 0 &&
          "memory size must be word aligned and nonzero");
+  assert(std::has_single_bit(Opts.IcacheLineBytes) &&
+         "I-cache line size must be a power of two");
+  LineShift = static_cast<uint32_t>(std::countr_zero(Opts.IcacheLineBytes));
   // Process-wide escape hatch so the whole test suite can run against the
   // reference interpreter without touching every construction site.
   if (const char *E = std::getenv("FAB_DECODE_CACHE"))
@@ -257,14 +262,42 @@ Vm::Vm(VmOptions Options) : Opts(Options) {
 
 void Vm::setCodeRegions(uint32_t SLo, uint32_t SHi, uint32_t DLo,
                         uint32_t DHi) {
+  // Dirty lines are tracked relative to the segment; carry the ones the
+  // new segment still contains over to its bitmap.
+  const BitSet OldDirty = std::move(Dirty);
+  const uint32_t OldLine0 = DynLine0, OldLines = DynLines;
   StaticLo = SLo;
   StaticHi = SHi;
   DynLo = DLo;
   DynHi = DHi;
+  DynLine0 = lineOf(DLo);
+  DynLines = DHi > DLo ? lineOf(DHi - 1) - DynLine0 + 1 : 0;
+  Dirty.reset(DynLines);
+  Covered.reset(DynLines);
+  Entered.reset(DHi > DLo ? dynWord(DHi - 1) + 1 : 0);
+  DirtyCount = 0;
+  for (uint32_t I = 0; I < OldLines; ++I)
+    if (OldDirty.test(I) && isDynLine(OldLine0 + I))
+      DirtyCount += Dirty.set(OldLine0 + I - DynLine0);
   // Region classes partition cached blocks; re-declaring regions could
   // split existing blocks differently, so start over.
   if (!Blocks.empty())
     clearDecodeCache();
+}
+
+size_t Vm::BitSet::assign(size_t Lo, size_t Hi, bool V) {
+  size_t Changed = 0;
+  while (Lo < Hi) {
+    const size_t Bit = Lo & 63, N = std::min<size_t>(64 - Bit, Hi - Lo);
+    const uint64_t Mask = (N == 64 ? ~uint64_t(0) : (uint64_t(1) << N) - 1)
+                          << Bit;
+    uint64_t &W = Words[Lo >> 6];
+    const uint64_t Old = W;
+    W = V ? Old | Mask : Old & ~Mask;
+    Changed += static_cast<size_t>(std::popcount(Old ^ W));
+    Lo += N;
+  }
+  return Changed;
 }
 
 uint32_t Vm::load32(uint32_t Addr) const {
@@ -292,22 +325,31 @@ void Vm::noteHostWrite(uint32_t Lo, uint32_t Bytes) {
   // Host stores into the dynamic code segment obey the same coherence
   // discipline as guest `sw`: the touched lines become dirty and must be
   // flushed (guest `flush` or host flushIcache) before execution.
-  if (DynHi > DynLo && Lo < DynHi && Hi > DynLo) {
-    const uint32_t Line = Opts.IcacheLineBytes;
-    uint32_t L = std::max(Lo, DynLo), H = std::min(Hi, DynHi);
-    for (uint32_t A = L & ~(Line - 1); A < H; A += Line)
-      DirtyLines.insert(A / Line);
-  }
+  const bool TouchesDyn = DynHi > DynLo && Lo < DynHi && Hi > DynLo;
+  if (TouchesDyn)
+    DirtyCount += Dirty.assign(dynLine(std::max(Lo, DynLo)),
+                               dynLine(std::min(Hi, DynHi) - 1) + 1, true);
   // Predecoded blocks under the written range are stale regardless of
-  // which code region they live in.
-  if (!Blocks.empty())
-    invalidateRange(Lo, Hi);
+  // which code region they live in. A write touching neither region (heap
+  // rows, call arguments, memo tables) can only hit blocks outside both.
+  if (Blocks.empty() ||
+      (!TouchesDyn && !OutsideBlocks && (Lo >= StaticHi || Hi <= StaticLo)))
+    return;
+  invalidateRange(Lo, Hi);
 }
 
 void Vm::flushIcache(uint32_t Addr, uint32_t Len) {
-  const uint32_t Line = Opts.IcacheLineBytes;
-  for (uint32_t A = Addr & ~(Line - 1); A < Addr + Len; A += Line)
-    DirtyLines.erase(A / Line);
+  // The lines [Addr, Addr + Len) names, in 64-bit arithmetic; an
+  // unaligned Addr cleans its own line even when Len is 0.
+  const uint64_t End = uint64_t(Addr) + Len;
+  if (!DirtyCount || End <= (Addr & ~(Opts.IcacheLineBytes - 1)))
+    return;
+  const uint64_t First = lineOf(Addr), Last = (End - 1) >> LineShift;
+  if (Last < DynLine0 || First >= uint64_t(DynLine0) + DynLines)
+    return;
+  const uint64_t L = std::max<uint64_t>(First, DynLine0) - DynLine0;
+  const uint64_t H = std::min<uint64_t>(Last - DynLine0, DynLines - 1) + 1;
+  DirtyCount -= Dirty.assign(L, H, false);
 }
 
 uint32_t Vm::fetch(uint32_t Addr) const {
@@ -343,6 +385,8 @@ void Vm::clearDecodeCache() {
     Retired.push_back(std::move(B));
   Blocks.clear();
   LineOwners.clear();
+  Covered.clearAll();
+  OutsideBlocks = 0;
   if (!Quick.empty())
     std::fill(Quick.begin(), Quick.end(), nullptr);
 }
@@ -364,11 +408,15 @@ void Vm::retireBlock(uint32_t EntryPc) {
     auto &Owners = OIt->second;
     Owners.erase(std::remove(Owners.begin(), Owners.end(), EntryPc),
                  Owners.end());
-    if (Owners.empty())
+    if (Owners.empty()) {
       LineOwners.erase(OIt);
+      if (isDynLine(L))
+        Covered.clear(L - DynLine0);
+    }
   }
   if (Quick[quickSlot(EntryPc)] == B)
     Quick[quickSlot(EntryPc)] = nullptr;
+  OutsideBlocks -= B->Region == 0;
   // Keep the storage alive until the next dispatch point: the retiring
   // store may have been issued from within this very block.
   Retired.push_back(std::move(It->second));
@@ -378,7 +426,7 @@ void Vm::retireBlock(uint32_t EntryPc) {
 }
 
 void Vm::invalidateLineBlocks(uint32_t Addr) {
-  auto It = LineOwners.find(Addr / Opts.IcacheLineBytes);
+  auto It = LineOwners.find(lineOf(Addr));
   if (It == LineOwners.end())
     return;
   // retireBlock edits the owner lists; iterate over a snapshot.
@@ -390,30 +438,89 @@ void Vm::invalidateLineBlocks(uint32_t Addr) {
 void Vm::invalidateRange(uint32_t Lo, uint32_t Hi) {
   if (Lo >= Hi || LineOwners.empty())
     return;
-  const uint32_t Line = Opts.IcacheLineBytes;
-  uint64_t RangeLines = (static_cast<uint64_t>(Hi - 1) / Line) - Lo / Line + 1;
-  if (RangeLines <= LineOwners.size() * 2) {
-    for (uint64_t L = Lo / Line; L <= (Hi - 1) / Line; ++L)
-      invalidateLineBlocks(static_cast<uint32_t>(L * Line));
+  const uint64_t First = lineOf(Lo), Last = lineOf(Hi - 1);
+  if (Last - First + 1 <= LineOwners.size() * 2) {
+    for (uint64_t L = First; L <= Last; ++L)
+      invalidateLineBlocks(static_cast<uint32_t>(L << LineShift));
     return;
   }
   // A wide write (e.g. loading a whole image) over a small cache: walk
   // the cached blocks instead of every line in the range.
-  std::vector<uint32_t> Victims;
-  for (const auto &[Pc, B] : Blocks)
-    if (B->Base < Hi && B->Base + 4 * B->InstCount > Lo)
-      Victims.push_back(Pc);
-  for (uint32_t Pc : Victims)
-    retireBlock(Pc);
+  dropBlocks(Lo, Hi);
+}
+
+void Vm::dropBlocks(uint32_t Lo, uint32_t Hi) {
+  uint64_t Dropped = 0;
+  uint32_t FirstPc = ~0u;
+  for (auto It = Blocks.begin(); It != Blocks.end();) {
+    Block &B = *It->second;
+    if (B.Base >= Hi || B.Base + 4 * B.InstCount <= Lo) {
+      ++It;
+      continue;
+    }
+    if (Quick[quickSlot(B.Base)] == &B)
+      Quick[quickSlot(B.Base)] = nullptr;
+    OutsideBlocks -= B.Region == 0;
+    FirstPc = std::min(FirstPc, B.Base);
+    ++Dropped;
+    // Storage outlives the next dispatch point, as in retireBlock.
+    Retired.push_back(std::move(It->second));
+    It = Blocks.erase(It);
+  }
+  if (!Dropped)
+    return;
+  // Every owner of a line lying wholly inside [Lo, Hi) was dropped; any
+  // other line keeps the owners that survived.
+  for (auto It = LineOwners.begin(); It != LineOwners.end();) {
+    const uint32_t L = It->first;
+    auto &Owners = It->second;
+    const uint64_t Begin = uint64_t(L) << LineShift;
+    if (Begin < Lo || Begin + Opts.IcacheLineBytes > Hi)
+      std::erase_if(Owners, [&](uint32_t Pc) { return !Blocks.count(Pc); });
+    else
+      Owners.clear();
+    if (!Owners.empty()) {
+      ++It;
+      continue;
+    }
+    if (isDynLine(L))
+      Covered.clear(L - DynLine0);
+    It = LineOwners.erase(It);
+  }
+  ++CacheEpoch; // stale every chained successor pointer
+  CacheStats.Invalidations += Dropped;
+  if (Ring.enabled())
+    Ring.record(telemetry::EventKind::BlockInvalidate, Stats.Executed,
+                FirstPc, Dropped);
 }
 
 void Vm::invalidateDecodeCache(uint32_t Lo, uint32_t Hi) {
-  invalidateRange(Lo, Hi);
+  if (Lo >= Hi)
+    return;
+  dropBlocks(Lo, Hi);
+  if (Lo < DynHi && Hi > DynLo)
+    Entered.assign(dynWord(std::max(Lo, DynLo)),
+                   dynWord(std::min(Hi, DynHi) - 1) + 1, false);
+}
+
+bool Vm::noteCodeStore(uint32_t Addr) {
+  if (inDynRegion(Addr)) {
+    ++Stats.DynWordsWritten;
+    markDirty(Addr);
+    // No cached block overlaps an uncovered line.
+    if (!Covered.test(dynLine(Addr)))
+      return false;
+  }
+  if (LineOwners.empty())
+    return false;
+  const uint64_t Epoch = CacheEpoch;
+  invalidateLineBlocks(Addr);
+  return CacheEpoch != Epoch;
 }
 
 bool Vm::anyBlockLineDirty(const Block &B) const {
   for (uint32_t L = B.FirstLine; L <= B.LastLine; ++L)
-    if (DirtyLines.count(L))
+    if (Dirty.test(L - DynLine0))
       return true;
   return false;
 }
@@ -575,14 +682,25 @@ Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
   const uint32_t Slot = quickSlot(Pc);
   if (Block *B = Quick[Slot]; B && B->Base == Pc)
     return B;
-  auto It = Blocks.find(Pc);
+  // A block starting at Pc would cover Pc's line, so an uncovered dynamic
+  // line needs no map probe.
+  const bool Dyn = inDynRegion(Pc);
+  auto It = Dyn && !Covered.test(dynLine(Pc)) ? Blocks.end() : Blocks.find(Pc);
   if (It == Blocks.end()) {
+    // Dynamic code is built on re-entry only; run() interprets (and
+    // marks) the first entry.
+    if (Dyn && !Entered.test(dynWord(Pc)))
+      return nullptr;
     if (Blocks.size() >= std::max(1u, Opts.MaxCachedBlocks))
       clearDecodeCache();
     auto Owned = std::make_unique<Block>();
     buildBlock(Pc, *Owned);
-    for (uint32_t L = Owned->FirstLine; L <= Owned->LastLine; ++L)
+    for (uint32_t L = Owned->FirstLine; L <= Owned->LastLine; ++L) {
       LineOwners[L].push_back(Pc);
+      if (isDynLine(L))
+        Covered.set(L - DynLine0);
+    }
+    OutsideBlocks += Owned->Region == 0;
     ++CacheStats.BlocksBuilt;
     if (TraceLive)
       Ring.record(telemetry::EventKind::BlockBuild, Stats.Executed, Pc,
@@ -609,7 +727,6 @@ ExecResult Vm::call(uint32_t EntryPc, const std::vector<uint32_t> &Args) {
 /// side effects is load-bearing: injector, fetch bounds, fuel, coherence,
 /// decode, statistics, execute — matching the seed interpreter exactly.
 bool Vm::stepSlow(RunState &S, ExecResult &R) {
-  const uint32_t Line = Opts.IcacheLineBytes;
   const uint32_t Pc = S.Pc;
 
   if (Opts.Injector.Armed) {
@@ -646,7 +763,7 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
 
   // Coherence check: the generated-code discipline requires a flush
   // before executing freshly written dynamic code (paper section 3.4).
-  if (inDynRegion(Pc) && DirtyLines.count(Pc / Line)) {
+  if (DirtyCount && inDynRegion(Pc) && Dirty.test(dynLine(Pc))) {
     ++CoherenceViolations;
     if (Opts.TrapOnIncoherentFetch) {
       R = stopFault(Fault::IcacheIncoherent, Pc);
@@ -804,8 +921,7 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
       Stats.Cycles += Opts.FlushTrapCycles;
       if (Opts.FlushBytesPerCycle)
         Stats.Cycles += Len / Opts.FlushBytesPerCycle;
-      for (uint32_t Addr = Lo & ~(Line - 1); Addr < Lo + Len; Addr += Line)
-        DirtyLines.erase(Addr / Line);
+      flushIcache(Lo, Len);
       break;
     }
     case ExtFn::PutInt:
@@ -897,14 +1013,9 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
     }
     ++Stats.Stores;
     std::memcpy(&Mem[Addr], &RtV, 4);
-    if (inDynRegion(Addr)) {
-      ++Stats.DynWordsWritten;
-      DirtyLines.insert(Addr / Line);
-    }
-    // Keep predecoded blocks coherent with guest code writes.
-    if (Opts.EnableDecodeCache &&
-        (inDynRegion(Addr) || inStaticRegion(Addr)))
-      invalidateLineBlocks(Addr);
+    // Keep dirty lines and predecoded blocks coherent with code writes.
+    if (mayTouchCode(Addr))
+      noteCodeStore(Addr);
     break;
   }
   }
@@ -914,7 +1025,6 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
 }
 
 Vm::BlockExit Vm::execBlock(Block &B, RunState &S, ExecResult &R) {
-  const uint32_t Line = Opts.IcacheLineBytes;
   Block *Cur = &B;
 
 for (;;) {
@@ -1128,21 +1238,14 @@ for (;;) {
       ++Stats.Stores;
       const uint32_t Val = Regs[Op.Rt];
       std::memcpy(&Mem[Addr], &Val, 4);
-      const bool InDyn = inDynRegion(Addr);
-      if (InDyn) {
-        ++Stats.DynWordsWritten;
-        DirtyLines.insert(Addr / Line);
-      }
-      if (InDyn || inStaticRegion(Addr)) {
-        invalidateLineBlocks(Addr);
-        // Self-modifying code: the store may alias this block's own
-        // instructions, so bail out and let the dispatcher re-decode.
-        // (Retired keeps Cur's storage alive; its fields stay readable.)
-        if (Addr - Cur->Base < 4 * Cur->InstCount) {
-          Commit();
-          S.Pc = Pc + 4;
-          return BlockExit::Next;
-        }
+      // Self-modifying code: the store may have retired this very block
+      // (a store into its own instructions always does), so once any
+      // block goes, bail out and let the dispatcher re-decode. (Retired
+      // keeps Cur's storage alive; its fields stay readable.)
+      if (mayTouchCode(Addr) && noteCodeStore(Addr)) [[unlikely]] {
+        Commit();
+        S.Pc = Pc + 4;
+        return BlockExit::Next;
       }
       break;
     }
@@ -1219,8 +1322,7 @@ for (;;) {
       Stats.Cycles += Opts.FlushTrapCycles;
       if (Opts.FlushBytesPerCycle)
         Stats.Cycles += FlushLen / Opts.FlushBytesPerCycle;
-      for (uint32_t A = Lo & ~(Line - 1); A < Lo + FlushLen; A += Line)
-        DirtyLines.erase(A / Line);
+      flushIcache(Lo, FlushLen);
       S.Pc = Pc + 4;
       return BlockExit::Next;
     }
@@ -1265,7 +1367,7 @@ chain:
     SlotEpoch = CacheEpoch;
   }
   if (S.Budget < Nx->InstCount ||
-      (Nx->Region == 2 && !DirtyLines.empty() && anyBlockLineDirty(*Nx)))
+      (Nx->Region == 2 && DirtyCount && anyBlockLineDirty(*Nx)))
     return BlockExit::Next;
   ++CacheStats.BlockRuns;
   Cur = Nx;
@@ -1295,15 +1397,26 @@ ExecResult Vm::run(uint32_t EntryPc) {
     if (Fast && !Opts.Injector.Armed) {
       if (!Retired.empty())
         Retired.clear();
-      if (Block *B = lookupOrBuildBlock(S.Pc)) {
-        if (S.Budget >= B->InstCount &&
-            !(B->Region == 2 && !DirtyLines.empty() &&
-              anyBlockLineDirty(*B))) {
-          ++CacheStats.BlockRuns;
-          if (execBlock(*B, S, R) == BlockExit::Stopped)
+      Block *B = lookupOrBuildBlock(S.Pc);
+      if (B && S.Budget >= B->InstCount &&
+          !(B->Region == 2 && DirtyCount && anyBlockLineDirty(*B))) {
+        ++CacheStats.BlockRuns;
+        if (execBlock(*B, S, R) == BlockExit::Stopped)
+          return R;
+        continue;
+      }
+      // First entry into dynamic code without a block: mark the entry and
+      // interpret up to the first non-sequential PC or the segment's end.
+      // Generated code mostly runs once, so the block waits for a return.
+      if (!B && inDynRegion(S.Pc) && !(S.Pc & 3)) {
+        Entered.set(dynWord(S.Pc));
+        uint32_t Pc;
+        do {
+          Pc = S.Pc;
+          if (stepSlow(S, R))
             return R;
-          continue;
-        }
+        } while (S.Pc == Pc + 4 && inDynRegion(S.Pc));
+        continue;
       }
     }
     if (stepSlow(S, R))

@@ -28,11 +28,11 @@
 #include "telemetry/Stats.h"
 #include "telemetry/TraceRing.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace fab {
@@ -91,7 +91,7 @@ struct VmOptions {
   uint32_t MemBytes = 64u << 20; ///< flat memory size
   uint64_t Fuel = 4'000'000'000ULL; ///< instruction budget per run() call
   /// Modeled I-cache line size (bytes). DECstation 5000/200 had 16-byte
-  /// lines on a 64 KiB I-cache; we default to 16.
+  /// lines on a 64 KiB I-cache; we default to 16. Must be a power of two.
   uint32_t IcacheLineBytes = 16;
   /// Cost of one flush call: a kernel trap (~cycles) plus per-byte cost.
   /// Paper: "a kernel trap plus approximately 0.8 nanoseconds per byte" on
@@ -107,6 +107,9 @@ struct VmOptions {
   /// Two-level interpretation: on first execution of a PC, decode forward
   /// to the basic-block end into a cached array of predecoded records,
   /// then dispatch those records on later visits (see docs/VM.md).
+  /// Dynamic-segment code is predecoded on its second entry instead: most
+  /// generated code runs once, and the reference interpreter is cheaper
+  /// than building blocks nobody re-enters.
   /// Results, VmStats, fault PCs, and trap values are bit-identical with
   /// this off; only host-side speed changes. The FAB_DECODE_CACHE=0
   /// environment variable forces it off process-wide (CI runs the test
@@ -169,8 +172,10 @@ public:
   void store32(uint32_t Addr, uint32_t Value);
   void writeBlock(uint32_t Addr, const uint32_t *Words, size_t Count);
   /// Host-side I-cache invalidation for [Addr, Addr + Len): clears dirty
-  /// lines like the guest `flush` service instruction but charges no
-  /// simulated cycles (a loader/DMA-style operation, not guest work).
+  /// lines like the guest `flush` service instruction (which calls this)
+  /// but charges no simulated cycles (a loader/DMA-style operation, not
+  /// guest work). Only dynamic-segment lines can be dirty, so the walk is
+  /// clamped to the segment; a range ending near 2^32 does not wrap.
   void flushIcache(uint32_t Addr, uint32_t Len);
   uint32_t memBytes() const { return static_cast<uint32_t>(Mem.size()); }
   /// Raw memory for snapshot/diff assertions (e.g. proving a faulting
@@ -212,9 +217,11 @@ public:
     TmplLo = Lo;
     TmplHi = Hi;
   }
-  /// Drops every cached predecoded block overlapping [Lo, Hi). Stores
-  /// (guest and host) invalidate automatically; this is the hook for
-  /// host-side bulk reclamation such as Machine::resetCodeSpace().
+  /// Drops every cached predecoded block overlapping [Lo, Hi) in one pass,
+  /// and forgets which dynamic-segment words in the range were entered, so
+  /// code later written there is interpreted on its first entry again.
+  /// Stores (guest and host) invalidate automatically; this is the hook
+  /// for host-side bulk reclamation such as Machine::resetCodeSpace().
   void invalidateDecodeCache(uint32_t Lo, uint32_t Hi);
 
   /// Replaces the per-run instruction budget (e.g. to recover a machine
@@ -245,6 +252,12 @@ private:
   bool inStaticRegion(uint32_t Addr) const {
     return Addr >= StaticLo && Addr < StaticHi;
   }
+  uint32_t lineOf(uint32_t Addr) const { return Addr >> LineShift; }
+  /// Index of Addr's I-cache line (resp. word) within the dynamic segment.
+  uint32_t dynLine(uint32_t Addr) const { return lineOf(Addr) - DynLine0; }
+  uint32_t dynWord(uint32_t Addr) const { return (Addr >> 2) - (DynLo >> 2); }
+  /// Whether absolute line index L lies in the dynamic segment.
+  bool isDynLine(uint32_t L) const { return L - DynLine0 < DynLines; }
   uint32_t fetch(uint32_t Addr) const;
   ExecResult stopFault(Fault Kind, uint32_t Pc, uint32_t TrapValue = 0);
 
@@ -299,10 +312,24 @@ private:
   bool stepSlow(RunState &S, ExecResult &R);
 
   bool anyBlockLineDirty(const Block &B) const;
+  void markDirty(uint32_t Addr) { DirtyCount += Dirty.set(dynLine(Addr)); }
+  /// Whether a guest store to Addr needs noteCodeStore: it lands in a code
+  /// region, or blocks outside both regions exist.
+  bool mayTouchCode(uint32_t Addr) const {
+    return inDynRegion(Addr) || inStaticRegion(Addr) || OutsideBlocks;
+  }
+  /// Code-write bookkeeping for a guest store (both tiers): counts and
+  /// dirties dynamic-segment words, then retires the cached blocks on the
+  /// store's line, skipping the owner probe for an uncovered dynamic line.
+  /// Returns whether any block was retired.
+  bool noteCodeStore(uint32_t Addr);
   /// Drops cached blocks overlapping the I-cache line containing Addr.
   void invalidateLineBlocks(uint32_t Addr);
   void invalidateRange(uint32_t Lo, uint32_t Hi);
   void retireBlock(uint32_t EntryPc);
+  /// Drops every block overlapping [Lo, Hi) in one pass over the cache:
+  /// one epoch bump and one trace event however many blocks go.
+  void dropBlocks(uint32_t Lo, uint32_t Hi);
   void clearDecodeCache();
   /// Coherence bookkeeping for host-initiated writes (store32/writeBlock).
   void noteHostWrite(uint32_t Lo, uint32_t Bytes);
@@ -321,8 +348,6 @@ private:
   std::string Output;
 
   uint32_t StaticLo = 0, StaticHi = 0, DynLo = 0, DynHi = 0;
-  /// Dirty I-cache lines in the dynamic region (line index = addr / line).
-  std::unordered_set<uint32_t> DirtyLines;
 
   /// Block cache: entry PC -> predecoded block.
   std::unordered_map<uint32_t, std::unique_ptr<Block>> Blocks;
@@ -346,6 +371,45 @@ private:
   /// instead of an atomic load.
   bool TraceLive = false;
   uint32_t TmplLo = 0, TmplHi = 0; ///< template pool, [TmplLo, TmplHi)
+
+  // Coherence bookkeeping over the dynamic segment, in flat bitmaps.
+
+  /// Fixed-size bit set with word-at-a-time range updates.
+  struct BitSet {
+    std::vector<uint64_t> Words;
+    /// Makes the set \p Bits bits long, all clear.
+    void reset(size_t Bits) { Words.assign((Bits + 63) / 64, 0); }
+    bool test(size_t I) const { return Words[I >> 6] >> (I & 63) & 1; }
+    /// Sets bit I; returns whether it was clear.
+    bool set(size_t I) {
+      const uint64_t M = uint64_t(1) << (I & 63), Old = Words[I >> 6];
+      Words[I >> 6] = Old | M;
+      return !(Old & M);
+    }
+    void clear(size_t I) { Words[I >> 6] &= ~(uint64_t(1) << (I & 63)); }
+    /// Sets (V = true) or clears bits [Lo, Hi); returns how many changed.
+    size_t assign(size_t Lo, size_t Hi, bool V);
+    void clearAll() { std::fill(Words.begin(), Words.end(), 0); }
+  };
+
+  uint32_t LineShift = 0; ///< log2(IcacheLineBytes)
+  /// Dynamic-segment line range: absolute index of its first line, count.
+  uint32_t DynLine0 = 0, DynLines = 0;
+  /// Dirty (written, unflushed) I-cache lines of the dynamic segment, and
+  /// how many are set: DirtyCount == 0 skips every per-line check.
+  BitSet Dirty;
+  size_t DirtyCount = 0;
+  /// Dynamic-segment lines overlapped by at least one cached block: a
+  /// store into an uncovered line skips the LineOwners probe.
+  BitSet Covered;
+  /// Dynamic-segment words execution has entered without finding a block.
+  /// Dynamic code is predecoded only on re-entry (see run()); cleared by
+  /// invalidateDecodeCache so code re-emitted at a reused address starts
+  /// over.
+  BitSet Entered;
+  /// Cached blocks in neither code region (Region 0). While zero, stores
+  /// outside the regions cannot hit a block and skip invalidation.
+  size_t OutsideBlocks = 0;
 };
 
 /// RAII fuel cap: while in scope, every run() on \p V gets at most \p Cap

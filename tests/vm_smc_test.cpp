@@ -36,13 +36,14 @@ struct RunOutcome {
 };
 
 RunOutcome runEngine(bool Cache, const std::vector<uint32_t> &Code,
-                     uint64_t Fuel) {
+                     uint64_t Fuel, bool Regions) {
   VmOptions VO;
   VO.EnableDecodeCache = Cache;
   VO.Fuel = Fuel;
   Vm M(VO);
-  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
-                   layout::DynCodeBase, layout::DynCodeEnd);
+  if (Regions)
+    M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                     layout::DynCodeBase, layout::DynCodeEnd);
   M.setReg(Sp, layout::StackTop);
   M.setReg(Hp, layout::HeapBase);
   M.setReg(Cp, layout::DynCodeBase);
@@ -58,11 +59,13 @@ RunOutcome runEngine(bool Cache, const std::vector<uint32_t> &Code,
 }
 
 /// Runs \p Code on both engines and asserts every observable matches.
-/// Returns the cache-on outcome for additional assertions.
+/// Returns the cache-on outcome for additional assertions. With
+/// \p Regions false the VM declares no code regions, so every cached
+/// block lies outside them.
 RunOutcome expectParity(const std::vector<uint32_t> &Code,
-                        uint64_t Fuel = 1'000'000) {
-  RunOutcome On = runEngine(true, Code, Fuel);
-  RunOutcome Off = runEngine(false, Code, Fuel);
+                        uint64_t Fuel = 1'000'000, bool Regions = true) {
+  RunOutcome On = runEngine(true, Code, Fuel, Regions);
+  RunOutcome Off = runEngine(false, Code, Fuel, Regions);
   EXPECT_EQ(On.R.Reason, Off.R.Reason);
   EXPECT_EQ(On.R.FaultKind, Off.R.FaultKind);
   EXPECT_EQ(On.R.FaultPc, Off.R.FaultPc);
@@ -328,6 +331,143 @@ TEST(SelfModifyingCode, RepeatedRespecializationLoop) {
   EXPECT_EQ(On.Violations, 0u);
 }
 
+TEST(SelfModifyingCode, OutOfRegionRewriteRetiresCachedBlock) {
+  auto Code = assembled(+[](Assembler &A) {
+    // Without declared code regions every block lies outside them; a
+    // guest store over a subroutine's first word must still retire the
+    // subroutine's cached block, so the second call sees the new word.
+    Label Fn = A.newLabel();
+    A.jal(Fn);
+    A.la(T0, Fn);
+    A.li(T1, static_cast<int32_t>(encodeI(Opcode::Addiu, V0, Zero, 2)));
+    A.sw(T1, 0, T0);
+    A.jal(Fn);
+    A.halt();
+    A.bind(Fn);
+    A.addiu(V0, Zero, 1);
+    A.jr(Ra);
+  });
+  RunOutcome On = expectParity(Code, 1'000'000, /*Regions=*/false);
+  ASSERT_TRUE(On.R.ok()) << On.R.describe();
+  EXPECT_EQ(static_cast<int32_t>(On.R.V0), 2);
+}
+
+TEST(SelfModifyingCode, FlushRangesNearTheTopOfTheAddressSpaceReturn) {
+  auto Code = assembled(+[](Assembler &A) {
+    // Dirty one dynamic line, then flush a range ending just below 2^32
+    // (a line walk in 32-bit arithmetic wraps to 0 and never ends) and one
+    // spanning the whole address space, which must clean the dirty line
+    // without walking 2^28 lines.
+    A.li(T0, static_cast<int32_t>(encodeR(Funct::Jr, Zero, Ra, Zero)));
+    A.sw(T0, 0, Cp);
+    A.li(T0, static_cast<int32_t>(0xFFFFFFF0u));
+    A.li(T1, 0xF);
+    A.flush(T0, T1);
+    A.li(T1, -1);
+    A.flush(Zero, T1);
+    A.li(V0, 5);
+    A.jalr(Cp, Ra);
+    A.halt();
+  });
+  RunOutcome On = expectParity(Code);
+  ASSERT_TRUE(On.R.ok()) << On.R.describe();
+  EXPECT_EQ(static_cast<int32_t>(On.R.V0), 5);
+  EXPECT_EQ(On.Violations, 0u);
+  // The charged cost is unchanged: one trap each plus the per-byte cost.
+  VmOptions VO;
+  EXPECT_EQ(On.S.Cycles, On.S.Executed + 2 * VO.FlushTrapCycles +
+                             0xFu / VO.FlushBytesPerCycle +
+                             0xFFFFFFFFu / VO.FlushBytesPerCycle);
+
+  // The host-side flush shares the walk: both calls must return.
+  Vm M;
+  M.setCodeRegions(layout::StaticCodeBase, layout::StaticCodeEnd,
+                   layout::DynCodeBase, layout::DynCodeEnd);
+  M.store32(layout::DynCodeBase, 0);
+  M.flushIcache(0xFFFFFFF0u, 0xF);
+  M.flushIcache(0, 0xFFFFFFFFu);
+}
+
+//===----------------------------------------------------------------------===//
+// First entry into dynamic code (interpreted; blocks built on re-entry)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Emits an 8-word function at $cp: seven `addiu $v0, $v0, 1` and `jr $ra`,
+/// spanning two I-cache lines.
+void emitStraightLineFunction(Assembler &A) {
+  A.li(T0, static_cast<int32_t>(encodeI(Opcode::Addiu, V0, V0, 1)));
+  for (int16_t I = 0; I < 7; ++I)
+    A.sw(T0, 4 * I, Cp);
+  A.li(T0, static_cast<int32_t>(encodeR(Funct::Jr, Zero, Ra, Zero)));
+  A.sw(T0, 28, Cp);
+}
+
+} // namespace
+
+TEST(FirstEntry, UnflushedLineTrapsAtTheExactPc) {
+  // Only the function's first line is flushed: the first entry runs four
+  // instructions, then the fetch from the dirty second line traps.
+  RunOutcome On = expectParity(assembled(+[](Assembler &A) {
+    emitStraightLineFunction(A);
+    A.li(T1, 16);
+    A.flush(Cp, T1);
+    A.li(V0, 0);
+    A.jalr(Cp, Ra);
+    A.halt();
+  }));
+  EXPECT_EQ(On.R.FaultKind, Fault::IcacheIncoherent);
+  EXPECT_EQ(On.R.FaultPc, layout::DynCodeBase + 16);
+  EXPECT_EQ(On.Regs[V0], 4u);
+  EXPECT_EQ(On.Violations, 1u);
+
+  // Flushed and run once, then one word rewritten without a flush: the
+  // re-entry builds a block over a dirty line and must still trap there.
+  On = expectParity(assembled(+[](Assembler &A) {
+    emitStraightLineFunction(A);
+    A.li(T1, 32);
+    A.flush(Cp, T1);
+    A.li(V0, 0);
+    A.jalr(Cp, Ra);
+    A.sw(T0, 24, Cp); // `jr $ra` over the seventh addiu
+    A.jalr(Cp, Ra);
+    A.halt();
+  }));
+  EXPECT_EQ(On.R.FaultKind, Fault::IcacheIncoherent);
+  EXPECT_EQ(On.R.FaultPc, layout::DynCodeBase + 16);
+  EXPECT_EQ(On.Regs[V0], 11u);
+  EXPECT_EQ(On.Violations, 1u);
+}
+
+TEST(FirstEntry, OutOfFuelMidFirstEntryMatchesInterpreter) {
+  auto Code = assembled(+[](Assembler &A) {
+    emitStraightLineFunction(A);
+    A.li(T1, 32);
+    A.flush(Cp, T1);
+    A.li(V0, 0);
+    A.jalr(Cp, Ra);
+    A.jalr(Cp, Ra);
+    A.halt();
+  });
+  // Sweep the budget over the run's last 18 instructions (two entries of
+  // eight, the jalr between them and the halt) so exhaustion lands on
+  // every instruction of the first (interpreted) and second (cached)
+  // entry.
+  const uint64_t Total = expectParity(Code).S.Executed;
+  ASSERT_GE(Total, 18u);
+  unsigned InDynamicCode = 0;
+  for (uint64_t Fuel = Total - 18; Fuel < Total; ++Fuel) {
+    SCOPED_TRACE("fuel=" + std::to_string(Fuel));
+    RunOutcome On = expectParity(Code, Fuel);
+    if (On.R.Reason == StopReason::OutOfFuel &&
+        On.R.FaultPc >= layout::DynCodeBase &&
+        On.R.FaultPc < layout::DynCodeEnd)
+      ++InDynamicCode;
+  }
+  EXPECT_EQ(InDynamicCode, 16u); // 8 instructions per entry, two entries
+}
+
 //===----------------------------------------------------------------------===//
 // Host-write coherence (store32 / writeBlock / flushIcache)
 //===----------------------------------------------------------------------===//
@@ -390,6 +530,27 @@ TEST(HostWriteCoherence, Store32RewriteInvalidatesCachedBlock) {
   R = M.run(layout::StaticCodeBase);
   ASSERT_TRUE(R.ok()) << R.describe();
   EXPECT_EQ(static_cast<int32_t>(R.V0), 8);
+}
+
+TEST(HostWriteCoherence, Store32OutsideRegionsInvalidatesCachedBlock) {
+  // No code regions: the cached subroutine block lies outside both, and a
+  // host store over it must still drop it.
+  Vm M;
+  M.setReg(Sp, layout::StackTop);
+  Assembler A(layout::StaticCodeBase);
+  Label Fn = A.newLabel();
+  A.jal(Fn);
+  A.halt();
+  A.bind(Fn);
+  A.addiu(V0, Zero, 1);
+  A.jr(Ra);
+  A.finalize();
+  M.writeBlock(A.baseAddr(), A.code().data(), A.code().size());
+  ASSERT_EQ(static_cast<int32_t>(M.run(layout::StaticCodeBase).V0), 1);
+  M.store32(A.addrOf(Fn), encodeI(Opcode::Addiu, V0, Zero, 2));
+  ExecResult R = M.run(layout::StaticCodeBase);
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_EQ(static_cast<int32_t>(R.V0), 2);
 }
 
 TEST(HostWriteCoherence, StaticCodeLoadBeforeRegionsIsClean) {
@@ -496,14 +657,69 @@ TEST(MachineIntegration, ResetCodeSpaceInvalidatesCachedBlocks) {
   ASSERT_TRUE(C) << Diags.str();
 
   Machine M(C->Unit);
-  EXPECT_EQ(runDotprod(M), 130);
+  // Dynamic code is predecoded on its second entry: call the same
+  // specialization twice (the second call is a memo hit).
+  uint32_t V1 = M.heap().vector({1, 2, 3, 4, 5});
+  uint32_t V2 = M.heap().vector({6, 7, 8, 9, 10});
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 130);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 130);
   uint64_t InvalBefore = M.vm().decodeCacheStats().Invalidations;
   M.resetCodeSpace();
   if (M.vm().decodeCacheEnabled()) {
-    // Specialized code executed from the dynamic segment, so reset must
+    // Specialized code re-entered from the dynamic segment, so reset must
     // have dropped cached blocks there.
     EXPECT_GT(M.vm().decodeCacheStats().Invalidations, InvalBefore);
   }
   // Respecialization after reset still computes the right answer.
   EXPECT_EQ(runDotprod(M), 130);
+}
+
+namespace {
+
+const char *ScaleSrc = "fun f (k : int) (x : int) = x * k + k";
+
+} // namespace
+
+TEST(MachineIntegration, RunOnceDynamicCodeBuildsNoBlocks) {
+  DiagnosticEngine Diags;
+  auto C = compile(ScaleSrc, FabiusOptions::deferred(), Diags);
+  ASSERT_TRUE(C) << Diags.str();
+  Machine M(C->Unit);
+  const DecodeCacheStats &DC = M.vm().decodeCacheStats();
+  uint32_t Spec = M.specializeOrDie("f", {7});
+
+  // callAt runs only the specialized code: its first entry is
+  // interpreted and predecodes nothing.
+  uint64_t Built = DC.BlocksBuilt, Fast = DC.FastInsts;
+  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  EXPECT_EQ(DC.BlocksBuilt, Built);
+  EXPECT_EQ(DC.FastInsts, Fast);
+
+  // Coming back builds the block and runs it on the fast path.
+  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  if (M.vm().decodeCacheEnabled()) {
+    EXPECT_GT(DC.BlocksBuilt, Built);
+    EXPECT_GT(DC.FastInsts, Fast);
+  }
+}
+
+TEST(MachineIntegration, ResetForgetsEntriesAtReusedAddresses) {
+  DiagnosticEngine Diags;
+  auto C = compile(ScaleSrc, FabiusOptions::deferred(), Diags);
+  ASSERT_TRUE(C) << Diags.str();
+  Machine M(C->Unit);
+  const DecodeCacheStats &DC = M.vm().decodeCacheStats();
+  uint32_t Spec = M.specializeOrDie("f", {7});
+  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+
+  // The reset rewinds $cp, so the next specialization lands on the same
+  // address; its first entry must be interpreted again, not predecoded
+  // because the old code there was once entered.
+  M.resetCodeSpace();
+  ASSERT_EQ(M.specializeOrDie("f", {9}), Spec);
+  uint64_t Built = DC.BlocksBuilt, Fast = DC.FastInsts;
+  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 909);
+  EXPECT_EQ(DC.BlocksBuilt, Built);
+  EXPECT_EQ(DC.FastInsts, Fast);
 }
