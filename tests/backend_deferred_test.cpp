@@ -406,6 +406,10 @@ struct EquivCase {
   std::vector<uint32_t> ScalarArgs; ///< appended after vector handles
 };
 
+// Without this gtest prints the raw bytes of the case, string pointers
+// included, so the listed test names would change from build to build.
+void PrintTo(const EquivCase &TC, std::ostream *OS) { *OS << TC.Name; }
+
 class DeferredEquivalence : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(DeferredEquivalence, MatchesPlainMode) {
