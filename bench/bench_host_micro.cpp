@@ -28,9 +28,9 @@ void dispatchLoop(benchmark::State &State, const VmOptions &VmOpts) {
   Machine M(C.Unit, VmOpts);
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    VmStats Before = M.stats();
-    benchmark::DoNotOptimize(M.callIntOrDie("loop", {0, 100000, 0}));
-    Instrs += (M.stats() - Before).Executed;
+    VmStats Before = M.vm().stats();
+    benchmark::DoNotOptimize(M.invokeOrDie<int32_t>("loop", {0, 100000, 0}));
+    Instrs += (M.vm().stats() - Before).Executed;
   }
   State.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(Instrs), benchmark::Counter::kIsRate);
@@ -116,11 +116,11 @@ void BM_SpecializeAndRunFresh(benchmark::State &State) {
   for (auto _ : State) {
     for (auto &V : Row)
       V = static_cast<int32_t>(R.below(1000));
-    const uint64_t Before = M->stats().DynWordsWritten;
+    const uint64_t Before = M->vm().stats().DynWordsWritten;
     uint32_t Spec =
         M->specializeOrDie("dotloop", {M->heap().vector(Row), 0, 64});
     benchmark::DoNotOptimize(M->invokeOrDie<int32_t>(Spec, {Col, 0}));
-    Words += M->stats().DynWordsWritten - Before;
+    Words += M->vm().stats().DynWordsWritten - Before;
     if (++Specs > 1800) { // stay below the memo capacity
       State.PauseTiming();
       M = std::make_unique<Machine>(C.Unit);

@@ -114,7 +114,7 @@ struct BackendOptions {
   /// bursts instead of materializing each word with li/sw. Purely a
   /// generator-speed optimization: the dynamic code segment is
   /// byte-identical with templates on or off. Escape hatches mirror the
-  /// decode cache: `fabc --no-templates`, FAB_EMIT_TEMPLATES=0.
+  /// decode cache: `fabc --no-templates`, FAB_TEMPLATES=0.
   bool EmitTemplates = true;
 
   /// Minimum constant-run length (words) worth turning into a template.

@@ -12,10 +12,10 @@
 ///   auto C = fab::compile(MlSource, Opts);   // parse/typecheck/stage/codegen
 ///   fab::Machine M(C->Unit);
 ///   uint32_t V = M.heap().vector({1, 2, 3});
-///   auto Dot = M.callInt("dotprod", {V, W});         // wrapper: gen + run
+///   auto Dot = M.invoke<int32_t>("dotprod", {V, W}); // wrapper: gen + run
 ///   if (!Dot) { /* structured error in Dot.error() */ }
 ///   uint32_t Spec = M.specializeOrDie("loop", {V, 0, 3}); // explicit staging
-///   int32_t R = M.callAtIntOrDie(Spec, {W, 0});
+///   int32_t R = M.invokeOrDie<int32_t>(Spec, {W, 0});
 /// \endcode
 ///
 /// All code runs on the deterministic FAB-32 simulator; Machine exposes its
@@ -197,17 +197,6 @@ public:
     return *R;
   }
 
-  // Named call conveniences, kept as one-line wrappers over invoke<T> for
-  // source compatibility with pre-telemetry callers.
-  FabResult<int32_t> callInt(const std::string &Name,
-                             const std::vector<uint32_t> &Args) {
-    return invoke<int32_t>(Name, Args);
-  }
-  FabResult<float> callFloat(const std::string &Name,
-                             const std::vector<uint32_t> &Args) {
-    return invoke<float>(Name, Args);
-  }
-
   /// Runs the generating extension of staged function \p Name on the early
   /// arguments; returns the address of the specialized code, or a
   /// structured error if the generator fails (after policy-driven
@@ -219,10 +208,6 @@ public:
   /// Calls previously specialized code. No retry/fallback: a reset would
   /// invalidate \p Addr, so failures are reported as-is.
   ExecResult callAt(uint32_t Addr, const std::vector<uint32_t> &Args);
-  FabResult<int32_t> callAtInt(uint32_t Addr,
-                               const std::vector<uint32_t> &Args) {
-    return invoke<int32_t>(Addr, Args);
-  }
 
   /// Calls the Plain fall-back image directly, regardless of degradation
   /// state, with the *combined* early+late argument list (Plain collapses
@@ -233,24 +218,13 @@ public:
   FabResult<int32_t> callPlainInt(const std::string &Name,
                                   const std::vector<uint32_t> &Args);
 
-  // Crash-on-error conveniences (print the error and exit).
-  int32_t callIntOrDie(const std::string &Name,
-                       const std::vector<uint32_t> &Args) {
-    return invokeOrDie<int32_t>(Name, Args);
-  }
-  float callFloatOrDie(const std::string &Name,
-                       const std::vector<uint32_t> &Args) {
-    return invokeOrDie<float>(Name, Args);
-  }
+  /// Crash-on-error specialize (print the error and exit).
   uint32_t specializeOrDie(const std::string &Name,
                            const std::vector<uint32_t> &EarlyArgs) {
     FabResult<uint32_t> R = specialize(Name, EarlyArgs);
     if (!R)
       dieOnError(R.error());
     return *R;
-  }
-  int32_t callAtIntOrDie(uint32_t Addr, const std::vector<uint32_t> &Args) {
-    return invokeOrDie<int32_t>(Addr, Args);
   }
 
   // -- Recovery policy -------------------------------------------------------
@@ -266,8 +240,9 @@ public:
 
   /// The unified stats snapshot: every counter struct below plus the
   /// machine gauges (code epoch, live specializations, code-space bytes)
-  /// and per-entry-point profiles. Prefer this over the individual
-  /// accessors; see docs/TELEMETRY.md.
+  /// and per-entry-point profiles; see docs/TELEMETRY.md. The hot-path
+  /// before/after cycle-delta idiom reads vm().stats() instead, which is
+  /// a cheap reference rather than a full snapshot.
   TelemetrySnapshot telemetry() const;
 
   /// The lifecycle event ring (owned by the VM; the facade records
@@ -275,14 +250,6 @@ public:
   fab::telemetry::TraceRing &trace() { return Sim.trace(); }
   const fab::telemetry::TraceRing &trace() const { return Sim.trace(); }
   void setTraceEnabled(bool On) { Sim.trace().setEnabled(On); }
-
-  // DEPRECATED legacy per-struct accessors. Retained as thin views for
-  // ABI continuity — stats() also serves the hot-path before/after
-  // cycle-delta idiom in benchmarks — but all in-repo callers now read
-  // through telemetry(); new code should too.
-  const VmStats &stats() const { return Sim.stats(); }
-  const SpecializationStats &memo() const { return Memo; }
-  const RecoveryStats &recovery() const { return Recovery; }
 
   /// Per-entry-point profile for \p Fn, or nullptr before its first
   /// call/specialization. The pool's profile-guided specialization gate

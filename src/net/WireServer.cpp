@@ -178,7 +178,12 @@ void WireServer::admit(Socket &&S, Shard &Home) {
     // thread: preamble + typed Rejected (tag 0 — no request to
     // attribute it to), then hang up. No reactor ever sees it. The
     // reject is charged to the shard that would have owned it so the
-    // per-shard rows still sum exactly.
+    // per-shard rows still sum exactly, and counted before the refusal
+    // is sent so a client that sees the refusal also sees the count.
+    {
+      std::lock_guard<std::mutex> L(Home.RStatsMutex);
+      Home.RStats.AcceptRejects++;
+    }
     std::vector<uint8_t> Bye = encodePreamble();
     std::vector<uint8_t> Err =
         encodeError(0, wireCode(FabErrc::Rejected), Opts.RetryAfterRejectedUs,
@@ -186,8 +191,6 @@ void WireServer::admit(Socket &&S, Shard &Home) {
     Bye.insert(Bye.end(), Err.begin(), Err.end());
     S.sendAll(Bye.data(), Bye.size());
     S.close();
-    std::lock_guard<std::mutex> L(Home.RStatsMutex);
-    Home.RStats.AcceptRejects++;
     return;
   }
 

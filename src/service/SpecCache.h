@@ -158,18 +158,12 @@ struct CachePolicy {
   std::string LoadFile;
   std::string SaveFile;
 };
-/// The constructor-facing alias (SpecCache(const CacheOptions &)).
-using CacheOptions = CachePolicy;
 
 /// The cache proper. Single-threaded by design: each pool worker owns
 /// one, alongside its Machine (the sharding model — see MachinePool.h).
 class SpecCache {
 public:
-  explicit SpecCache(const CacheOptions &Options);
-  /// Legacy shim: a plain LRU of \p Capacity with the policy machinery
-  /// (doorkeeper admission) off, preserving pre-policy behaviour for
-  /// existing callers. New code should pass a CachePolicy.
-  explicit SpecCache(size_t Capacity = 1024);
+  explicit SpecCache(const CachePolicy &Options);
 
   /// Returns the cached specialization address when present and produced
   /// in \p Epoch; a stale-epoch entry is erased and counted as a

@@ -186,8 +186,7 @@ FabResult<int32_t> SpecServer::invalidate(const std::string &Fn) {
 TelemetrySnapshot SpecServer::telemetry() const {
   TelemetrySnapshot T;
   for (unsigned I = 0; I < Pool.workers(); ++I) {
-    WorkerStats S = Pool.workerStats(I);
-    TelemetrySnapshot Ws = S.Telemetry;
+    TelemetrySnapshot Ws = Pool.workerStats(I);
     // One load row per worker survives aggregation, so a single hot or
     // failing worker stays visible behind the pool-wide sums.
     WorkerLoadRow Row;
@@ -208,26 +207,4 @@ TelemetrySnapshot SpecServer::telemetry() const {
   T.Submitted = Submitted.load(std::memory_order_relaxed);
   T.Rejected += RejectedCount.load(std::memory_order_relaxed);
   return T;
-}
-
-ServerStats SpecServer::stats() const {
-  TelemetrySnapshot T = telemetry();
-  ServerStats S;
-  S.Workers = T.Workers;
-  S.Submitted = T.Submitted;
-  S.Served = T.Served;
-  S.Errors = T.Errors;
-  S.Rejected = T.Rejected;
-  S.Coalesced = T.Coalesced;
-  S.QueueHighWater = T.QueueHighWater;
-  S.BusyCyclesTotal = T.BusyCyclesTotal;
-  S.BusyCyclesMax = T.BusyCyclesMax;
-  S.GenInstrWords = T.Vm.DynWordsWritten;
-  S.HeapRecycles = T.HeapRecycles;
-  S.DegradedWorkers = T.DegradedMachines;
-  S.Cache = T.Cache;
-  S.Memo = T.Memo;
-  S.Recovery = T.Recovery;
-  S.DecodeCache = T.DecodeCache;
-  return S;
 }

@@ -98,11 +98,16 @@ struct TelemetrySnapshot {
   uint64_t Submitted = 0;
   uint64_t Served = 0;
   uint64_t Errors = 0;
-  uint64_t Rejected = 0;
+  uint64_t Rejected = 0;       ///< refused at submit (shutdown only;
+                               ///< queue-full refusals count as Shed)
   uint64_t Coalesced = 0;
   uint64_t QueueHighWater = 0; ///< max across workers
   uint64_t BusyCyclesTotal = 0;
-  uint64_t BusyCyclesMax = 0;  ///< pool makespan in simulated cycles
+  /// Pool makespan in simulated cycles: the busiest worker's serving
+  /// cycles. Each worker is an independent simulated machine (one core
+  /// each in a real deployment), so requests/second at the modeled clock
+  /// is Served / (BusyCyclesMax / 25 MHz).
+  uint64_t BusyCyclesMax = 0;
   uint64_t HeapRecycles = 0;
   SpecCacheStats Cache;
   OverloadStats Overload;     ///< shedding / deadline / retry / breaker

@@ -20,7 +20,7 @@ int32_t runInt(const std::string &Src, const std::string &Fn,
                const std::vector<uint32_t> &Args) {
   Compilation C = compileOrDie(Src, FabiusOptions::plain());
   Machine M(C.Unit);
-  return M.callIntOrDie(Fn, Args);
+  return M.invokeOrDie<int32_t>(Fn, Args);
 }
 
 } // namespace
@@ -108,7 +108,7 @@ TEST(PlainExec, VectorSubscriptAndLength) {
       FabiusOptions::plain());
   Machine M(C.Unit);
   uint32_t V = M.heap().vector({10, 20, 30});
-  EXPECT_EQ(M.callIntOrDie("f", {V, 1}), 20 + 3);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {V, 1}), 20 + 3);
 }
 
 TEST(PlainExec, BoundsCheckTraps) {
@@ -166,8 +166,8 @@ TEST(PlainExec, CaseVarBindsScrutinee) {
   Machine M(C.Unit);
   uint32_t BCell = M.heap().cell(1, {42});
   uint32_t ACell = M.heap().cell(0, {});
-  EXPECT_EQ(M.callIntOrDie("g", {BCell}), 42);
-  EXPECT_EQ(M.callIntOrDie("g", {ACell}), 77);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("g", {BCell}), 42);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("g", {ACell}), 77);
 }
 
 TEST(PlainExec, MatchFailureTraps) {
@@ -215,7 +215,7 @@ TEST(PlainExec, CurriedFunctionCollapsesInPlainMode) {
   Machine M(C.Unit);
   uint32_t V1 = M.heap().vector({1, 2, 3});
   uint32_t V2 = M.heap().vector({4, 5, 6});
-  EXPECT_EQ(M.callIntOrDie("dotprod", {V1, V2}), 4 + 10 + 18);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("dotprod", {V1, V2}), 4 + 10 + 18);
 }
 
 TEST(PlainExec, VectorOfVectors) {
@@ -227,7 +227,7 @@ TEST(PlainExec, VectorOfVectors) {
   uint32_t Row1 = M.heap().vector({3, 4});
   uint32_t Mx = M.heap().vector({static_cast<int32_t>(Row0),
                                  static_cast<int32_t>(Row1)});
-  EXPECT_EQ(M.callIntOrDie("f", {Mx, 1, 0}), 3);
+  EXPECT_EQ(M.invokeOrDie<int32_t>("f", {Mx, 1, 0}), 3);
 }
 
 TEST(PlainExec, DeepExpressionSpilling) {

@@ -91,7 +91,10 @@ TEST(CachePolicy, DoorkeeperResistsOneShotScan) {
     EXPECT_TRUE(Cache.lookup(intKey(K), 0).has_value());
 
   // A plain LRU of the same capacity loses everything to the same scan.
-  SpecCache Lru(4);
+  CachePolicy LruPolicy;
+  LruPolicy.Capacity = 4;
+  LruPolicy.Admission = false;
+  SpecCache Lru(LruPolicy);
   for (int32_t K = 1; K <= 4; ++K)
     Lru.insert(intKey(K), 0x100u * K, 0);
   for (int32_t K = 100; K < 200; ++K)

@@ -44,7 +44,7 @@ EmissionResult runWorkload(const char *Src, bool Templates,
   for (uint32_t Off = 0; Off < Used; Off += 4)
     Out.DynWords.push_back(M.vm().load32(layout::DynCodeBase + Off));
   Out.TemplateWords = C.Unit.TemplateData.size();
-  Out.Executed = M.stats().Executed;
+  Out.Executed = M.vm().stats().Executed;
   return Out;
 }
 
@@ -72,7 +72,7 @@ TEST(EmitTemplates, MatmulDynIdentical) {
   expectDynIdentical(MatmulSrc, [](Machine &M) {
     uint32_t V1 = M.heap().vector({0, 3, 0, 5, 2, 0, 0, 1});
     uint32_t V2 = M.heap().vector({9, 2, 7, 4, 1, 1, 8, 3});
-    M.callIntOrDie("dotprod", {V1, V2});
+    M.invokeOrDie<int32_t>("dotprod", {V1, V2});
   });
 }
 
@@ -88,7 +88,7 @@ TEST(EmitTemplates, FMatmulDynIdentical) {
     uint32_t Btr = buildRealRows(M, B);
     uint32_t Cr = buildRealRows(
         M, std::vector<std::vector<float>>(N, std::vector<float>(N, 0.0f)));
-    M.callIntOrDie("fmatmul", {Ar, Btr, Cr});
+    M.invokeOrDie<int32_t>("fmatmul", {Ar, Btr, Cr});
   });
 }
 
@@ -98,7 +98,7 @@ TEST(EmitTemplates, PacketFilterDynIdentical) {
     uint32_t Fv = M.heap().vector(F.Words);
     for (const auto &P : bpf::makeTrace(6, 99)) {
       uint32_t Pv = M.heap().vector(P);
-      M.callIntOrDie("runfilter", {Fv, Pv});
+      M.invokeOrDie<int32_t>("runfilter", {Fv, Pv});
     }
   });
 }
@@ -109,7 +109,7 @@ TEST(EmitTemplates, RegexpDynIdentical) {
     uint32_t Prog = M.heap().vector(N.Prog);
     for (const char *W : {"facetious", "abstemious", "zzz"}) {
       uint32_t S = M.heap().string(W);
-      M.callIntOrDie("matches", {Prog, S});
+      M.invokeOrDie<int32_t>("matches", {Prog, S});
     }
   });
 }
@@ -120,8 +120,8 @@ TEST(EmitTemplates, AssocDynIdentical) {
     for (int32_t I = 0; I < 64; ++I)
       Entries.push_back({I * 3 + 1, I * 100});
     uint32_t L = buildAList(M, Entries);
-    EXPECT_EQ(M.callIntOrDie("lookup", {L, 7}), 200);
-    EXPECT_EQ(M.callIntOrDie("lookup", {L, 999999}), -1);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("lookup", {L, 7}), 200);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("lookup", {L, 999999}), -1);
   });
   // Each entry's compare/return sequence is interleaved with dynamic key
   // and value words, so no run reaches template length here — the engine
@@ -136,8 +136,8 @@ TEST(EmitTemplates, MemberDynIdentical) {
     for (int32_t I = 0; I < 64; ++I)
       Elems.push_back(I * 7);
     uint32_t S = buildISet(M, Elems);
-    EXPECT_EQ(M.callIntOrDie("member", {S, 7 * 13}), 1);
-    EXPECT_EQ(M.callIntOrDie("member", {S, 5}), 0);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 7 * 13}), 1);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 5}), 0);
   });
   EXPECT_GT(On.TemplateWords, 0u);
   EXPECT_LT(On.Executed, Off.Executed);
@@ -148,7 +148,7 @@ TEST(EmitTemplates, LifeDynIdentical) {
     uint32_t W = 0, H = 0;
     std::vector<int32_t> Cells = gliderGunCells(1, W, H);
     uint32_t S = buildISet(M, Cells);
-    M.callIntOrDie("life", {S, 2, W * H, W});
+    M.invokeOrDie<int32_t>("life", {S, 2, W * H, W});
   });
 }
 
@@ -156,7 +156,7 @@ TEST(EmitTemplates, IsortDynIdentical) {
   expectDynIdentical(IsortSrc, [](Machine &M) {
     auto Words = wordList(12, 3);
     uint32_t Arr = buildStringArray(M, Words);
-    M.callIntOrDie("sortall", {Arr});
+    M.invokeOrDie<int32_t>("sortall", {Arr});
   });
 }
 
@@ -189,7 +189,7 @@ TEST(EmitTemplates, PseudoknotDynIdentical) {
     uint32_t ChkV = M.heap().vector(Chk);
     uint32_t Vals =
         M.heap().vector({1, 5, 3, 9, 2, 8, 0, 4, 6, 7, 11, 13, 2, 5, 1, 3});
-    M.callIntOrDie("pkrun", {ChkV, Vals, Levels});
+    M.invokeOrDie<int32_t>("pkrun", {ChkV, Vals, Levels});
   });
 }
 
@@ -208,8 +208,8 @@ TEST(EmitTemplates, TemplateRunUnderOpenBranchHole) {
       " else x - k";
   auto [On, Off] = expectDynIdentical(Src, [](Machine &M) {
     uint32_t Spec = M.specializeOrDie("f", {5});
-    EXPECT_EQ(M.callAtIntOrDie(Spec, {static_cast<uint32_t>(-3)}), 0);
-    EXPECT_EQ(M.callAtIntOrDie(Spec, {7}), 2);
+    EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {static_cast<uint32_t>(-3)}), 0);
+    EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {7}), 2);
   });
   // The run under the hole must actually have become a template.
   EXPECT_GT(On.TemplateWords, 0u);
@@ -240,8 +240,8 @@ TEST(EmitTemplates, TemplateRunsAcrossLoopHeadGuards) {
     uint32_t S = M.heap().cell(0, {});
     for (int32_t E = 63; E >= 0; --E)
       S = M.heap().cell(1, {E * 7, S});
-    EXPECT_EQ(M.callIntOrDie("member", {S, 7 * 13}), 1);
-    EXPECT_EQ(M.callIntOrDie("member", {S, 5}), 0);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 7 * 13}), 1);
+    EXPECT_EQ(M.invokeOrDie<int32_t>("member", {S, 5}), 0);
     uint32_t Used = M.codeSpaceUsed();
     for (uint32_t O = 0; O < Used; O += 4)
       Dyn[I].push_back(M.vm().load32(layout::DynCodeBase + O));

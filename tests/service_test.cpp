@@ -102,7 +102,7 @@ FabResult<int32_t> baselineServe(Machine &M, const MixedRequest &Q) {
   FabResult<uint32_t> S = M.specialize(Q.Fn, materialize(Q.Early));
   if (!S)
     return S.error();
-  return M.callAtInt(*S, materialize(Q.Late));
+  return M.invoke<int32_t>(*S, materialize(Q.Late));
 }
 
 } // namespace
@@ -153,7 +153,10 @@ TEST(SpecKey, FromHeapMatchesHostValues) {
 //===----------------------------------------------------------------------===//
 
 TEST(SpecCache, HitMissLruEvictionAndPinning) {
-  SpecCache Cache(2);
+  CachePolicy Lru;
+  Lru.Capacity = 2;
+  Lru.Admission = false;
+  SpecCache Cache(Lru);
   SpecKey K1 = SpecKey::make("f", {Value::ofInt(1)});
   SpecKey K2 = SpecKey::make("f", {Value::ofInt(2)});
   SpecKey K3 = SpecKey::make("f", {Value::ofInt(3)});
@@ -185,7 +188,10 @@ TEST(SpecCache, HitMissLruEvictionAndPinning) {
 TEST(SpecCache, EpochInvalidationAfterResetCodeSpace) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit);
-  SpecCache Cache(16);
+  CachePolicy Lru;
+  Lru.Capacity = 16;
+  Lru.Admission = false;
+  SpecCache Cache(Lru);
   SpecKey K = SpecKey::make("f", {Value::ofInt(3)});
 
   EXPECT_EQ(M.codeEpoch(), 0u);
@@ -202,7 +208,7 @@ TEST(SpecCache, EpochInvalidationAfterResetCodeSpace) {
   uint32_t A2 = M.specializeOrDie("f", {3});
   Cache.insert(K, A2, M.codeEpoch());
   EXPECT_EQ(*Cache.lookup(K, M.codeEpoch()), A2);
-  EXPECT_EQ(M.callAtIntOrDie(A2, {10}), 33);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(A2, {10}), 33);
 }
 
 //===----------------------------------------------------------------------===//
@@ -265,7 +271,7 @@ TEST(SpecServer, EvictionUnderTinyCapacityStaysCorrect) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   ServerOptions SO;
   SO.Pool.Workers = 1;
-  SO.Pool.CacheCapacity = 2;
+  SO.Pool.Cache.Capacity = 2;
   // This exercises plain-LRU eviction; the admission doorkeeper would
   // (correctly) refuse the cycling keys and keep the first two resident.
   SO.Pool.Cache.Admission = false;
@@ -398,12 +404,12 @@ TEST(SpecServer, FaultInjectedWorkerDegradesWithoutStallingPool) {
   EXPECT_GT(Healthy, 0u);
   EXPECT_GT(Faulted, 0u);
 
-  WorkerStats W0 = S.workerStats(0);
-  EXPECT_TRUE(W0.Degraded);
+  TelemetrySnapshot W0 = S.workerStats(0);
+  EXPECT_EQ(W0.DegradedMachines, 1u);
   EXPECT_GE(W0.Recovery.GeneratorFaults, 2u);
   EXPECT_EQ(W0.Errors, Faulted);
-  WorkerStats W1 = S.workerStats(1);
-  EXPECT_FALSE(W1.Degraded);
+  TelemetrySnapshot W1 = S.workerStats(1);
+  EXPECT_EQ(W1.DegradedMachines, 0u);
   EXPECT_EQ(W1.Served, Healthy);
 }
 

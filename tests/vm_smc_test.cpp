@@ -639,7 +639,7 @@ TEST(MachineIntegration, FullPipelineStatsAreBitIdentical) {
   EXPECT_EQ(runDotprod(MOff), 130);
 
   // The whole generate -> flush -> execute pipeline, same simulated world.
-  const VmStats &A = MOn.stats(), &B = MOff.stats();
+  const VmStats &A = MOn.vm().stats(), &B = MOff.vm().stats();
   EXPECT_EQ(A.Executed, B.Executed);
   EXPECT_EQ(A.ExecutedStatic, B.ExecutedStatic);
   EXPECT_EQ(A.ExecutedDynamic, B.ExecutedDynamic);
@@ -691,12 +691,12 @@ TEST(MachineIntegration, RunOnceDynamicCodeBuildsNoBlocks) {
   // callAt runs only the specialized code: its first entry is
   // interpreted and predecodes nothing.
   uint64_t Built = DC.BlocksBuilt, Fast = DC.FastInsts;
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
   EXPECT_EQ(DC.BlocksBuilt, Built);
   EXPECT_EQ(DC.FastInsts, Fast);
 
   // Coming back builds the block and runs it on the fast path.
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
   if (M.vm().decodeCacheEnabled()) {
     EXPECT_GT(DC.BlocksBuilt, Built);
     EXPECT_GT(DC.FastInsts, Fast);
@@ -710,8 +710,8 @@ TEST(MachineIntegration, ResetForgetsEntriesAtReusedAddresses) {
   Machine M(C->Unit);
   const DecodeCacheStats &DC = M.vm().decodeCacheStats();
   uint32_t Spec = M.specializeOrDie("f", {7});
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 707);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 707);
 
   // The reset rewinds $cp, so the next specialization lands on the same
   // address; its first entry must be interpreted again, not predecoded
@@ -719,7 +719,7 @@ TEST(MachineIntegration, ResetForgetsEntriesAtReusedAddresses) {
   M.resetCodeSpace();
   ASSERT_EQ(M.specializeOrDie("f", {9}), Spec);
   uint64_t Built = DC.BlocksBuilt, Fast = DC.FastInsts;
-  EXPECT_EQ(M.callAtIntOrDie(Spec, {100}), 909);
+  EXPECT_EQ(M.invokeOrDie<int32_t>(Spec, {100}), 909);
   EXPECT_EQ(DC.BlocksBuilt, Built);
   EXPECT_EQ(DC.FastInsts, Fast);
 }

@@ -5,7 +5,7 @@
 // src/service/ stack (SpecServer over a MachinePool of FAB-32
 // machines), validates every result against host-side oracles (a plain
 // C++ dot product and the BPF reference interpreter), and prints the
-// aggregate ServerStats.
+// aggregate telemetry snapshot.
 //
 // Usage: fabserve [--workers N] [--requests N] [--rows N] [--len N]
 //                 [--seed S] [--no-cache] [--cache-capacity N]
@@ -133,7 +133,7 @@ int main(int argc, char **argv) {
   size_t NumRequests = 300, NumRows = 24;
   uint32_t Len = 64;
   uint64_t Seed = 1;
-  size_t CacheCapacity = 1024;
+  size_t CacheSize = 1024;
   bool Cache = true;
   bool Admission = true;
   bool Compaction = true;
@@ -170,7 +170,7 @@ int main(int argc, char **argv) {
     else if (A == "--seed")
       Seed = parseNum(next());
     else if (A == "--cache-capacity")
-      CacheCapacity = parseNum(next());
+      CacheSize = parseNum(next());
     else if (A == "--no-cache")
       Cache = false;
     else if (A == "--no-admission")
@@ -268,7 +268,7 @@ int main(int argc, char **argv) {
   SO.Pool.Workers = Workers;
   SO.Pool.EnableCache = Cache;
   SO.Pool.InternEarlyArgs = Cache;
-  SO.Pool.Cache.Capacity = CacheCapacity;
+  SO.Pool.Cache.Capacity = CacheSize;
   SO.Pool.Cache.Admission = Admission;
   SO.Pool.Cache.Compaction = Compaction;
   SO.Pool.Cache.ProfileGate = ProfileGate;
@@ -436,8 +436,6 @@ int main(int argc, char **argv) {
   }
   S.shutdown();
 
-  // The unified snapshot replaces the old hand-summed ServerStats; the
-  // human layout is unchanged.
   TelemetrySnapshot T = S.telemetry();
   std::printf("\nall %llu results validated against host oracles (%zu "
               "mismatches)\n",
