@@ -12,7 +12,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 
 using namespace fab;
 using namespace fab::backend_detail;
@@ -1051,14 +1050,7 @@ uint32_t CompiledUnit::genAddr(const std::string &Name) const {
 
 bool fab::compileProgram(const ml::Program &P, const BackendOptions &Opts,
                          CompiledUnit &Out, DiagnosticEngine &Diags) {
-  BackendOptions EffOpts = Opts;
-  // Process-wide escape hatch mirroring FAB_DECODE_CACHE / FAB_TRACE:
-  // force word-by-word li/sw emission without touching every construction
-  // site (named after the --no-templates flag, following the
-  // FAB_<FEATURE> convention in docs/INTERNALS.md).
-  if (const char *E = std::getenv("FAB_TEMPLATES"); E && E[0] == '0' && !E[1])
-    EffOpts.EmitTemplates = false;
-  ModuleContext M(P, EffOpts, Diags);
+  ModuleContext M(P, Opts, Diags);
 
   // Create labels and memo tables up front so calls can be emitted in any
   // order.

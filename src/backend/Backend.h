@@ -83,7 +83,8 @@ struct BackendOptions {
   /// (paper section 3.2 footnote). Off = one addiu per emitted word.
   bool CoalesceCpUpdates = true;
 
-  /// Align each specialization to an I-cache line (paper section 3.4).
+  /// Align each specialization to an I-cache line (paper section 3.4;
+  /// the line is the VM's, Vm::IcacheLineBytes).
   bool AlignSpecializations = true;
 
   /// Thread jumps-to-jumps when patching emitted tail jumps: if the jump
@@ -93,9 +94,6 @@ struct BackendOptions {
   /// extension removes them at a few generator instructions per patch.
   /// Off by default for fidelity to the paper.
   bool ThreadJumps = false;
-
-  /// I-cache line size used for alignment; must match the VM's model.
-  uint32_t IcacheLineBytes = 16;
 
   /// Emit code-space guards into generator prologues and loop heads: a
   /// compare of $cp against DynCodeEnd - CodeSpaceGuardMargin that traps
@@ -113,20 +111,9 @@ struct BackendOptions {
   /// the static data segment, and the generator copies them with lw/sw
   /// bursts instead of materializing each word with li/sw. Purely a
   /// generator-speed optimization: the dynamic code segment is
-  /// byte-identical with templates on or off. Escape hatches mirror the
-  /// decode cache: `fabc --no-templates`, FAB_TEMPLATES=0.
+  /// byte-identical with templates on or off (`fabc --no-templates`).
+  /// Run-length thresholds: layout::MinTemplateRun, TemplateLoopRun.
   bool EmitTemplates = true;
-
-  /// Minimum constant-run length (words) worth turning into a template.
-  /// Shorter runs always use li/sw; at-or-above, the generator picks
-  /// whichever of li/sw and template copy costs fewer instructions.
-  uint32_t MinTemplateRun = 4;
-
-  /// Run length at-or-above which the template copy is emitted as a
-  /// compact loop instead of an unrolled lw/sw sequence. The loop executes
-  /// more generator instructions per word than the unrolled form; it
-  /// exists to bound static code size on very long runs.
-  uint32_t TemplateLoopRun = 64;
 
   /// Base address for the static code image. The default places it at the
   /// canonical static code base; a second unit (e.g. a Plain fall-back

@@ -175,9 +175,9 @@ void FnCompiler::flushConstRun(bool AllowCpAdvance) {
 
   syncPeephole();
   bool UseTemplate = false, UseLoop = false;
-  if (M.Opts.EmitTemplates && N >= M.Opts.MinTemplateRun) {
+  if (M.Opts.EmitTemplates && N >= layout::MinTemplateRun) {
     unsigned LiSwCost = liSwRunCost(Words, KnownT8, KnownT9Hi);
-    UseLoop = AllowCpAdvance && N >= M.Opts.TemplateLoopRun &&
+    UseLoop = AllowCpAdvance && N >= layout::TemplateLoopRun &&
               M.Opts.CoalesceCpUpdates;
     // Unrolled copy: li T9,addr (≤2) + lw/sw per word. The loop form
     // trades generator speed (~11 instructions per 4 words) for static
@@ -1994,7 +1994,7 @@ void FnCompiler::emitMemoPrologue() {
   emitCodeSpaceGuard();
 
   if (M.Opts.AlignSpecializations) {
-    uint32_t L = M.Opts.IcacheLineBytes;
+    constexpr uint32_t L = Vm::IcacheLineBytes;
     A.addiu(Cp, Cp, static_cast<int32_t>(L - 1));
     A.li(At, -static_cast<int32_t>(L));
     A.and_(Cp, Cp, At);

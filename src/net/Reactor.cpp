@@ -7,7 +7,6 @@
 #include "net/Reactor.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
@@ -24,11 +23,6 @@ using namespace fab;
 using namespace fab::net;
 
 namespace {
-
-bool envForcesPoll() {
-  const char *V = std::getenv("FAB_REACTOR");
-  return V && std::strcmp(V, "poll") == 0;
-}
 
 bool setNonBlockingFd(int Fd) {
   int Flags = ::fcntl(Fd, F_GETFL, 0);
@@ -81,7 +75,7 @@ Reactor::Reactor(bool ForcePoll) {
   WakeWr = Pipe[1];
 
 #if FAB_HAVE_EPOLL
-  if (!ForcePoll && !envForcesPoll()) {
+  if (!ForcePoll) {
     EpollFd = ::epoll_create1(0);
     if (EpollFd >= 0) {
       epoll_event Ev;

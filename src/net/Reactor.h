@@ -8,7 +8,7 @@
 /// The readiness core under the wire front-end: one Reactor instance,
 /// owned by one thread, multiplexes every connection socket through
 /// epoll (level-triggered) or a poll(2) fallback when epoll is missing
-/// or FAB_REACTOR=poll forces it. Registration carries an opaque u64
+/// or the owner forces it. Registration carries an opaque u64
 /// cookie the owner uses to find its connection; the reactor itself
 /// knows nothing about framing or connections.
 ///
@@ -59,8 +59,7 @@ struct ReactorEvent {
 class Reactor {
 public:
   /// \p ForcePoll selects the poll(2) backend even where epoll exists
-  /// (coverage for the fallback path). The FAB_REACTOR=poll environment
-  /// variable does the same without code changes.
+  /// (coverage for the fallback path; WireOptions::ForcePollReactor).
   explicit Reactor(bool ForcePoll = false);
   ~Reactor();
 

@@ -83,6 +83,14 @@ enum class WireErrc : uint16_t {
   ConnectionLost = 105,
 };
 
+/// Advisory retry-after hints (microseconds) the server attaches to
+/// overload refusals: Rejected means "a queue slot frees within a batch
+/// drain", CircuitOpen means "the breaker cools down over
+/// CooldownRequests requests". Both are coarse by design — the point is
+/// to give remote clients *some* pacing signal instead of a naked error.
+constexpr uint32_t RetryAfterRejectedUs = 200;
+constexpr uint32_t RetryAfterCircuitUs = 5000;
+
 inline uint16_t wireCode(FabErrc C) { return static_cast<uint16_t>(C); }
 inline uint16_t wireCode(WireErrc C) { return static_cast<uint16_t>(C); }
 

@@ -10,13 +10,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <poll.h>
 
 using namespace fab;
 using namespace fab::net;
-using fab::telemetry::EventKind;
 
 namespace {
 
@@ -41,9 +39,15 @@ uint64_t steadyMs() {
           .count());
 }
 
-bool reusePortVetoed() {
-  const char *Env = std::getenv("FAB_REUSEPORT");
-  return Env && std::strcmp(Env, "0") == 0;
+uint32_t retryHint(FabErrc C) {
+  switch (C) {
+  case FabErrc::Rejected:
+    return RetryAfterRejectedUs;
+  case FabErrc::CircuitOpen:
+    return RetryAfterCircuitUs;
+  default:
+    return 0; // not an overload refusal; retrying soon will not help
+  }
 }
 
 } // namespace
@@ -56,7 +60,7 @@ unsigned fab::net::autoShards() {
 }
 
 WireServer::WireServer(service::SpecServer &S, const WireOptions &O)
-    : Server(S), Opts(O), Trace(O.TraceCapacity, O.EnableTrace) {
+    : Server(S), Opts(O) {
   unsigned N = Opts.Shards ? Opts.Shards : autoShards();
   Sh.reserve(N);
   for (unsigned I = 0; I < N; ++I) {
@@ -86,7 +90,7 @@ bool WireServer::start(std::string *Err) {
   // listener may bind an ephemeral port; the rest must join it.
   Lst.clear();
   ReusePortLive = false;
-  bool WantReuse = Opts.UseReusePort && Sh.size() > 1 && !reusePortVetoed();
+  bool WantReuse = Opts.UseReusePort && Sh.size() > 1;
   if (WantReuse) {
     auto L0 = std::make_unique<Listener>();
     if (L0->listen(Opts.BindAddr, Opts.Port, Opts.Backlog, nullptr,
@@ -145,29 +149,6 @@ void WireServer::stop() {
   }
 }
 
-void WireServer::trace(EventKind K, uint64_t Arg0, uint64_t Arg1) {
-  if (!Opts.EnableTrace)
-    return;
-  std::lock_guard<std::mutex> L(TraceMutex);
-  Trace.record(K, /*SimInstr=*/0, Arg0, Arg1);
-}
-
-std::vector<telemetry::TraceEvent> WireServer::drainTrace() {
-  std::lock_guard<std::mutex> L(TraceMutex);
-  return Trace.drain();
-}
-
-uint32_t WireServer::retryHint(FabErrc C) const {
-  switch (C) {
-  case FabErrc::Rejected:
-    return Opts.RetryAfterRejectedUs;
-  case FabErrc::CircuitOpen:
-    return Opts.RetryAfterCircuitUs;
-  default:
-    return 0; // not an overload refusal; retrying soon will not help
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Accept loop: admission control, then handoff to the owning shard
 //===----------------------------------------------------------------------===//
@@ -186,7 +167,7 @@ void WireServer::admit(Socket &&S, Shard &Home) {
     }
     std::vector<uint8_t> Bye = encodePreamble();
     std::vector<uint8_t> Err =
-        encodeError(0, wireCode(FabErrc::Rejected), Opts.RetryAfterRejectedUs,
+        encodeError(0, wireCode(FabErrc::Rejected), RetryAfterRejectedUs,
                     "connection limit reached");
     Bye.insert(Bye.end(), Err.begin(), Err.end());
     S.sendAll(Bye.data(), Bye.size());
@@ -207,7 +188,6 @@ void WireServer::admit(Socket &&S, Shard &Home) {
     std::lock_guard<std::mutex> L(C->StatsMutex);
     C->Stats.Connections = 1;
   }
-  trace(EventKind::ConnOpen, C->Id, 0);
   {
     std::lock_guard<std::mutex> L(Home.IntakeMutex);
     Home.IntakeQ.push_back(std::move(C));
@@ -504,14 +484,11 @@ void WireServer::readReady(const ConnPtr &C, std::vector<uint8_t> &Buf,
     handleFrame(C, std::move(F));
   }
   if (Batch) {
-    {
-      std::lock_guard<std::mutex> L(C->StatsMutex);
-      C->Stats.FramesIn += Batch;
-      C->Stats.ReadBatches++;
-      if (Batch > 1)
-        C->Stats.BatchedFrames += Batch;
-    }
-    trace(EventKind::FrameRecv, C->Id, Batch);
+    std::lock_guard<std::mutex> L(C->StatsMutex);
+    C->Stats.FramesIn += Batch;
+    C->Stats.ReadBatches++;
+    if (Batch > 1)
+      C->Stats.BatchedFrames += Batch;
   }
   if (!C->Closed)
     flushOut(C);
@@ -556,7 +533,7 @@ void WireServer::handleFrame(const ConnPtr &C, Frame &&F) {
         std::lock_guard<std::mutex> L(C->StatsMutex);
         C->Stats.CapRejects++;
       }
-      sendError(C, Tag, wireCode(FabErrc::Rejected), Opts.RetryAfterRejectedUs,
+      sendError(C, Tag, wireCode(FabErrc::Rejected), RetryAfterRejectedUs,
                 "in-flight cap reached", /*CloseConn=*/false);
       return;
     }
@@ -604,7 +581,7 @@ void WireServer::handleFrame(const ConnPtr &C, Frame &&F) {
         std::lock_guard<std::mutex> L(C->StatsMutex);
         C->Stats.CapRejects++;
       }
-      sendError(C, Tag, wireCode(FabErrc::Rejected), Opts.RetryAfterRejectedUs,
+      sendError(C, Tag, wireCode(FabErrc::Rejected), RetryAfterRejectedUs,
                 "in-flight cap reached", /*CloseConn=*/false);
       return;
     }
@@ -792,9 +769,6 @@ void WireServer::closeConn(const ConnPtr &C) {
     C->Stats.Disconnects = 1;
     Final = C->Stats;
   }
-  trace(EventKind::ConnClose, C->Id, Final.FramesIn);
-  if (Final.FramesOut)
-    trace(EventKind::FrameSend, C->Id, Final.FramesOut);
   std::lock_guard<std::mutex> L(Home.ConnsMutex);
   Home.Conns.erase(std::remove(Home.Conns.begin(), Home.Conns.end(), C),
                    Home.Conns.end());

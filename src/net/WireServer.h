@@ -17,7 +17,7 @@
 /// Accept strategies (docs/WIRE.md "Sharding"): with SO_REUSEPORT, each
 /// shard gets its own listening socket on the same address and the
 /// kernel hashes connections across them; where the option is missing
-/// (or FAB_REUSEPORT=0 vetoes it) a single listener round-robins
+/// (or WireOptions::UseReusePort is off) a single listener round-robins
 /// accepted fds over the shards. Either way ONE acceptor thread drives
 /// admission, so the pinned thread count is identical in both modes.
 ///
@@ -66,7 +66,6 @@
 #include "net/Transport.h"
 #include "net/Wire.h"
 #include "service/SpecServer.h"
-#include "telemetry/TraceRing.h"
 
 #include <atomic>
 #include <deque>
@@ -83,14 +82,6 @@ struct WireOptions {
   uint16_t Port = 0; ///< 0 = ephemeral; port() reports the bound one
   int Backlog = 64;
   uint32_t MaxFrameBytes = DefaultMaxFrameBytes;
-  /// Advisory retry-after hints attached to overload refusals
-  /// (microseconds): Rejected means "a queue slot frees within a batch
-  /// drain", CircuitOpen means "the breaker cools down over
-  /// CooldownRequests requests". Both are coarse by design — the point
-  /// is to give remote clients *some* pacing signal instead of a naked
-  /// error.
-  uint32_t RetryAfterRejectedUs = 200;
-  uint32_t RetryAfterCircuitUs = 5000;
   /// Connection admission ceiling: accepts past this many live
   /// connections are answered with a typed Rejected (tag 0) and closed.
   /// 0 = unlimited.
@@ -112,20 +103,13 @@ struct WireOptions {
   /// autoShards()). Each shard costs one thread.
   unsigned Shards = 1;
   /// Accept via per-shard SO_REUSEPORT listeners when the platform has
-  /// the option (kernel-hashed distribution). false — or FAB_REUSEPORT=0
-  /// in the environment, or a runtime setsockopt/bind failure — falls
-  /// back to a single listener whose acceptor round-robins fds over the
-  /// shards. Irrelevant at Shards == 1.
+  /// the option (kernel-hashed distribution). false — or a runtime
+  /// setsockopt/bind failure — falls back to a single listener whose
+  /// acceptor round-robins fds over the shards. Irrelevant at Shards == 1.
   bool UseReusePort = true;
   /// Forces the poll(2) reactor backend even where epoll is available
-  /// (fallback-path coverage). FAB_REACTOR=poll in the environment does
-  /// the same. Applies to every shard.
+  /// (fallback-path coverage). Applies to every shard.
   bool ForcePollReactor = false;
-  /// Arms the server-side TraceRing (conn open/close, frame batches);
-  /// drainTrace() empties it. Worker-side tracing is configured on the
-  /// pool as before.
-  bool EnableTrace = false;
-  size_t TraceCapacity = 4096;
 };
 
 /// The Shards == 0 "auto" policy: half the hardware threads, clamped to
@@ -172,7 +156,7 @@ public:
 
   /// True when accepts go through per-shard SO_REUSEPORT listeners;
   /// false = single listener + round-robin handoff (always false at one
-  /// shard, or under FAB_REUSEPORT=0).
+  /// shard, or with UseReusePort off).
   bool usingReusePort() const { return ReusePortLive; }
 
   /// True when the live reactors are epoll-backed (false = poll
@@ -197,10 +181,6 @@ public:
   /// Connections currently open on one shard (tests pin clients to
   /// shards in handoff mode and assert distribution).
   unsigned liveConnections(unsigned Shard) const;
-
-  /// Takes the server's accumulated net trace events (ConnOpen,
-  /// ConnClose, FrameRecv, FrameSend).
-  std::vector<telemetry::TraceEvent> drainTrace();
 
 private:
   struct Shard;
@@ -312,8 +292,6 @@ private:
   /// The completion lambda body shared by submit and invalidate: push
   /// to the owning shard's done queue, wake its reactor (coalesced).
   void completeToShard(const ConnPtr &C, DoneItem &&D);
-  uint32_t retryHint(FabErrc C) const;
-  void trace(telemetry::EventKind K, uint64_t Arg0, uint64_t Arg1);
 
   service::SpecServer &Server;
   WireOptions Opts;
@@ -339,13 +317,6 @@ private:
   std::atomic<unsigned> GlobalInFlight{0};
 
   std::atomic<uint64_t> NextConnId{1};
-
-  /// The ring is single-writer by contract; the wire layer has several
-  /// writers (acceptor + shard reactors), so recording goes through
-  /// TraceMutex. Rates here are per-batch, not per-instruction, so the
-  /// lock is cold.
-  std::mutex TraceMutex;
-  telemetry::TraceRing Trace;
 };
 
 } // namespace net

@@ -8,7 +8,7 @@
 /// The memory map and calling/representation conventions shared by the
 /// backend, the runtime, the baselines, and the host facade.
 ///
-/// Memory map (within the default 64 MiB image):
+/// Memory map (within the 64 MiB image, Vm::MemBytes):
 ///
 ///   0x0000_0000  null guard page (nothing allocated here)
 ///   0x0000_1000  static code  (compiler output incl. generating extensions)
@@ -36,6 +36,8 @@
 #ifndef FAB_RUNTIME_LAYOUT_H
 #define FAB_RUNTIME_LAYOUT_H
 
+#include "vm/Vm.h"
+
 #include <cstdint>
 
 namespace fab {
@@ -59,6 +61,8 @@ constexpr uint32_t DynCodeBase = 0x03000000;
 constexpr uint32_t DynCodeEnd = 0x03800000;
 constexpr uint32_t DynCodeBytes = DynCodeEnd - DynCodeBase;
 constexpr uint32_t StackTop = 0x03FFFFF0; ///< ~8 MiB of stack
+static_assert(Vm::MemBytes % 4 == 0 && Vm::MemBytes > StackTop,
+              "machine memory must be word-aligned and hold the stack");
 
 /// Capacity of one specialization memo table, in entries.
 constexpr uint32_t MemoCapacity = 4096;
@@ -77,6 +81,18 @@ constexpr uint32_t CpCoalesceLimit = 32000;
 static_assert(CpCoalesceLimit + 4 <= 32767,
               "coalesced $cp offsets must fit the sw 16-bit signed "
               "displacement");
+
+/// Template-burst emission (docs/INTERNALS.md, "Emission strategy"): a
+/// constant run shorter than MinTemplateRun words always uses li/sw; at
+/// or above it, the generator picks whichever of li/sw and template copy
+/// costs fewer instructions. At or above TemplateLoopRun words the copy
+/// is a compact loop instead of an unrolled lw/sw sequence: it executes
+/// more generator instructions per word and exists to bound static code
+/// size on very long runs.
+constexpr uint32_t MinTemplateRun = 4;
+constexpr uint32_t TemplateLoopRun = 64;
+static_assert(MinTemplateRun <= TemplateLoopRun,
+              "a looped template run is also a template run");
 
 } // namespace layout
 } // namespace fab

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 
 using namespace fab;
@@ -13,24 +12,6 @@ using namespace fab::service;
 
 MachinePool::MachinePool(const Compilation &C, const PoolOptions &O)
     : Comp(C), Opts(O) {
-  // Process-wide robustness vetoes (see docs/INTERNALS.md): the env var
-  // always wins over the options the caller passed.
-  if (const char *E = std::getenv("FAB_QUEUE_DEPTH"))
-    Opts.MaxQueueDepth = static_cast<size_t>(std::strtoull(E, nullptr, 0));
-  if (const char *E = std::getenv("FAB_BREAKER"); E && E[0] == '0' && !E[1])
-    Opts.Breaker.Enabled = false;
-  if (const char *E = std::getenv("FAB_RETRIES"); E && E[0] == '0' && !E[1])
-    RetriesVetoed = true;
-  if (const char *E = std::getenv("FAB_CACHE_CAPACITY"))
-    Opts.Cache.Capacity = static_cast<size_t>(std::strtoull(E, nullptr, 0));
-  Opts.Cache.Capacity = std::max<size_t>(1, Opts.Cache.Capacity);
-  if (const char *E = std::getenv("FAB_ADMISSION"); E && E[0] == '0' && !E[1])
-    Opts.Cache.Admission = false;
-  if (const char *E = std::getenv("FAB_CACHE_FILE")) {
-    // A set-but-empty value vetoes persistence entirely; a path enables
-    // the full warm cycle (load at boot, save at shutdown).
-    Opts.Cache.LoadFile = Opts.Cache.SaveFile = E;
-  }
   unsigned N = std::max(1u, Opts.Workers);
   if (!Opts.Cache.LoadFile.empty()) {
     Restore = loadCacheFile(Opts.Cache.LoadFile, compilationFingerprint(C));
@@ -204,7 +185,7 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
           P ? static_cast<double>(P->Calls) /
                   static_cast<double>(std::max<uint64_t>(1, P->Specializations))
             : 0.0;
-      if (Reuse < Opts.Cache.ProfileMinReuse) {
+      if (Reuse < ProfileMinReuse) {
         Cache.recordSighting(R.Key);
         Cache.noteProfileGated();
         std::vector<uint32_t> Words =
@@ -362,23 +343,15 @@ void MachinePool::runWorker(unsigned Idx) {
     return Res;
   };
 
-  // Remaining wall deadline -> VM fuel cap at the modeled clock rate;
-  // .second says the cap came from the deadline (an OutOfFuel stop under
-  // such a cap is reported as DeadlineExceeded, not as a VM error).
-  auto fuelCap = [&](const Request &R) -> std::pair<uint64_t, bool> {
-    uint64_t Cap = Opts.RequestFuel;
-    bool FromDeadline = false;
-    if (R.DeadlineNs) {
-      uint64_t Now = telemetry::traceNowNs();
-      uint64_t RemainNs = R.DeadlineNs > Now ? R.DeadlineNs - Now : 0;
-      uint64_t DFuel =
-          std::max<uint64_t>(1, RemainNs / 1000 * Opts.DeadlineInstrPerUs);
-      if (!Cap || DFuel < Cap) {
-        Cap = DFuel;
-        FromDeadline = true;
-      }
-    }
-    return {Cap, FromDeadline};
+  // Remaining wall deadline -> VM fuel cap at the modeled clock rate (0 =
+  // no deadline, run on the VmOptions::Fuel budget). An OutOfFuel stop
+  // under such a cap is reported as DeadlineExceeded, not as a VM error.
+  auto fuelCap = [](const Request &R) -> uint64_t {
+    if (!R.DeadlineNs)
+      return 0;
+    uint64_t Now = telemetry::traceNowNs();
+    uint64_t RemainNs = R.DeadlineNs > Now ? R.DeadlineNs - Now : 0;
+    return std::max<uint64_t>(1, RemainNs / 1000 * DeadlineInstrPerUs);
   };
 
   auto serveRobust = [&](Request &R,
@@ -405,12 +378,12 @@ void MachinePool::runWorker(unsigned Idx) {
         if (B->OpenLeft > 0) {
           // Cooling down: route around the staged path entirely.
           --B->OpenLeft;
-          auto [Cap, FromDeadline] = fuelCap(R);
+          const uint64_t Cap = fuelCap(R);
           if (M->hasPlainFallback()) {
             ++Local.Overload.BreakerFallbacks;
             ScopedFuelCap FC(M->vm(), Cap);
             FabResult<int32_t> Res = servePlain(R);
-            if (!Res.ok() && FromDeadline &&
+            if (!Res.ok() && Cap &&
                 Res.error().Code == FabErrc::OutOfFuel) {
               Res.error().Code = FabErrc::DeadlineExceeded;
               ++Local.Overload.DeadlineMisses;
@@ -432,14 +405,14 @@ void MachinePool::runWorker(unsigned Idx) {
     FabResult<int32_t> Res = FabError{FabErrc::Trapped, R.Key.Fn, {}};
     unsigned Attempt = 0;
     for (;;) {
-      auto [Cap, FromDeadline] = fuelCap(R);
+      const uint64_t Cap = fuelCap(R);
       {
         ScopedFuelCap FC(M->vm(), Cap);
         Res = serve(*M, Cache, Intern, R, BatchSpecs, Local);
       }
       if (Res.ok())
         break;
-      if (FromDeadline && Res.error().Code == FabErrc::OutOfFuel) {
+      if (Cap && Res.error().Code == FabErrc::OutOfFuel) {
         // The run was cut short by the deadline-derived cap, not by the
         // caller's own fuel budget.
         Res.error().Code = FabErrc::DeadlineExceeded;
@@ -554,8 +527,6 @@ void MachinePool::runWorker(unsigned Idx) {
     BatchSpecMap BatchSpecs;
     for (Request &R : Batch) {
       ++Seq;
-      if (RetriesVetoed)
-        R.Retries = 0;
       uint32_t HeapUsed =
           std::max(M->heap().heapTop(), M->vm().reg(Hp));
       if (HeapUsed > layout::HeapEnd - Opts.HeapRecycleMargin) {

@@ -89,17 +89,22 @@ struct Request {
 /// another cooldown window. Cooldown is counted in requests, not wall
 /// time, so breaker behaviour is deterministic under test.
 struct BreakerPolicy {
-  bool Enabled = true; ///< FAB_BREAKER=0 forces off process-wide
+  bool Enabled = true;
   unsigned FailureThreshold = 3;
   unsigned CooldownRequests = 8;
 };
+
+/// Simulated instructions a worker may spend per microsecond of remaining
+/// deadline — the deadline-as-fuel conversion rate. The modeled core
+/// retires ~25 instructions/us (25 MHz, ~1 CPI), so a deadline is
+/// simulated time.
+constexpr uint64_t DeadlineInstrPerUs = 25;
 
 struct PoolOptions {
   unsigned Workers = 1;
   /// Cache policy for every worker's SpecCache: capacity, the admission
   /// doorkeeper, compaction thresholds, the profile gate, and warm-start
-  /// persistence files. FAB_CACHE_CAPACITY / FAB_ADMISSION=0 /
-  /// FAB_CACHE_FILE override at process level (see docs/INTERNALS.md).
+  /// persistence files.
   CachePolicy Cache;
   /// Host-side value-keyed caching of specialization addresses. Off =
   /// every request goes through the generator path (the in-VM memo may
@@ -125,19 +130,10 @@ struct PoolOptions {
   /// Bounded admission: post() refuses (and SpecServer::submit resolves
   /// the future immediately with FabErrc::Rejected, counted as Shed) once
   /// a worker's queue holds this many requests. 0 = unbounded.
-  /// FAB_QUEUE_DEPTH=N overrides at process level (0 forces unbounded).
   size_t MaxQueueDepth = 1024;
-  /// Fuel ceiling per request served (0 = the VmOptions::Fuel default).
-  /// A request deadline lowers it further (deadline-as-fuel).
-  uint64_t RequestFuel = 0;
   /// Base host-side backoff between retry attempts; doubles per attempt,
   /// capped at 16x. 0 disables the sleep (tests).
   unsigned RetryBackoffUs = 50;
-  /// Simulated instructions a worker may spend per microsecond of
-  /// remaining deadline — the deadline-as-fuel conversion rate. The
-  /// modeled core retires ~25 instructions/us (25 MHz, ~1 CPI), so the
-  /// default models "the deadline is simulated time".
-  uint64_t DeadlineInstrPerUs = 25;
   BreakerPolicy Breaker;
   /// Chaos/test hook: runs on the worker thread before each request is
   /// served (after any heap recycle), with the request sequence number on
@@ -229,7 +225,6 @@ private:
 
   const Compilation &Comp;
   PoolOptions Opts;
-  bool RetriesVetoed = false; ///< FAB_RETRIES=0: clamp Request::Retries
   /// Warm-start images loaded (and fingerprint-validated) in the ctor
   /// before any worker thread starts; workers read their slot read-only.
   std::optional<CacheFile> Restore;

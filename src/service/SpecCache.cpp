@@ -2,6 +2,7 @@
 
 #include "service/SpecCache.h"
 
+#include <algorithm>
 #include <bit>
 
 using namespace fab;
@@ -97,7 +98,11 @@ SpecKey SpecKey::fromHeap(const std::string &Fn,
   return make(Fn, Early);
 }
 
-SpecCache::SpecCache(const CachePolicy &Options) : Policy(Options) {}
+SpecCache::SpecCache(const CachePolicy &Options) : Policy(Options) {
+  // A zero-capacity cache would refuse or evict on every insert, and the
+  // doorkeeper would pop an empty ghost list: hold at least one entry.
+  Policy.Capacity = std::max<size_t>(1, Policy.Capacity);
+}
 
 std::optional<uint32_t> SpecCache::lookup(const SpecKey &K, uint64_t Epoch) {
   auto It = Map.find(K);
@@ -220,7 +225,7 @@ void SpecCache::recordSighting(const SpecKey &K) {
     Ghost.splice(Ghost.begin(), Ghost, GIt->second);
     return;
   }
-  if (Ghost.size() >= ghostCapacity()) {
+  if (Ghost.size() >= Policy.Capacity) {
     GhostMap.erase(Ghost.back());
     Ghost.pop_back();
   }

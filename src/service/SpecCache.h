@@ -119,6 +119,10 @@ struct SpecKeyHash {
 // telemetry layer can aggregate it; fab::SpecCacheStats is still found
 // here unqualified through the enclosing namespace.
 
+/// The profile gate's reuse threshold (calls per specialization): see
+/// CachePolicy::ProfileGate.
+constexpr double ProfileMinReuse = 1.5;
+
 /// Everything policy-shaped about the cache layer, in one struct threaded
 /// SpecCache -> PoolOptions -> ServerOptions -> fabserve flags (see
 /// docs/SERVICE.md "Cache policy" and the docs/INTERNALS.md toggle
@@ -126,15 +130,14 @@ struct SpecKeyHash {
 /// profile gating, and warm-start persistence are executed by the pool
 /// worker that owns the cache, against the fields here.
 struct CachePolicy {
+  /// Resident entries; SpecCache raises 0 to 1.
   size_t Capacity = 1024;
   /// Ghost-LRU doorkeeper: a first-sighting insert that would force an
   /// eviction is refused and only the key's hash is remembered; the
   /// second sighting is admitted. A flood of one-shot keys therefore
-  /// cannot evict the hot working set (scan resistance). FAB_ADMISSION=0
-  /// vetoes process-wide; fabserve --no-admission.
+  /// cannot evict the hot working set (scan resistance). The ghost LRU
+  /// remembers Capacity hashes. fabserve --no-admission turns it off.
   bool Admission = true;
-  /// Hashes the ghost LRU remembers; 0 = auto (same as Capacity).
-  size_t GhostCapacity = 0;
   /// Selective code-space rebuild: when a worker machine's dynamic
   /// segment crosses CompactWatermark * DynCodeBytes, re-specialize only
   /// pinned + hottest keys (up to CompactKeepFraction of the watermark
@@ -150,11 +153,9 @@ struct CachePolicy {
   /// generator cost; the second sighting specializes. Requires a
   /// compiled Plain fall-back (no-op without one). Off by default.
   bool ProfileGate = false;
-  double ProfileMinReuse = 1.5;
   /// Warm-start persistence (docs/SERVICE.md "Cache policy" has the file
   /// format): LoadFile is restored worker-by-worker at boot, SaveFile is
-  /// written at shutdown. FAB_CACHE_FILE=PATH sets both; FAB_CACHE_FILE=
-  /// (empty) vetoes both.
+  /// written at shutdown (fabserve --cache-load / --cache-save).
   std::string LoadFile;
   std::string SaveFile;
 };
@@ -255,15 +256,12 @@ private:
 
   void evictOne();
   void eraseEntry(std::unordered_map<SpecKey, Entry, SpecKeyHash>::iterator It);
-  size_t ghostCapacity() const {
-    return Policy.GhostCapacity ? Policy.GhostCapacity : Policy.Capacity;
-  }
 
   CachePolicy Policy;
   std::list<SpecKey> Lru;
   std::unordered_map<SpecKey, Entry, SpecKeyHash> Map;
   /// Doorkeeper ghost LRU: hashes of refused/gated keys, most recent at
-  /// the front, bounded by ghostCapacity().
+  /// the front, bounded by Policy.Capacity.
   std::list<uint64_t> Ghost;
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> GhostMap;
   uint64_t CodeBytes = 0;

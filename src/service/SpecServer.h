@@ -41,11 +41,11 @@ struct SubmitOptions {
   /// dequeue (late work is shed with DeadlineExceeded before any
   /// specialization cost is paid) and mid-run through the VM fuel
   /// mechanism (the remaining budget converts to an instruction cap at
-  /// the modeled clock; see PoolOptions::DeadlineInstrPerUs).
+  /// the modeled clock; see service::DeadlineInstrPerUs).
   uint64_t DeadlineNs = 0;
   /// Retries after transient failures (traps, fuel exhaustion, code-space
   /// exhaustion), with bounded exponential host-side backoff between
-  /// attempts. FAB_RETRIES=0 forces 0 process-wide.
+  /// attempts.
   unsigned MaxRetries = 1;
 };
 

@@ -101,14 +101,6 @@ const char *fab::telemetry::eventName(EventKind K) {
     return "breaker_probe";
   case EventKind::BreakerClose:
     return "breaker_close";
-  case EventKind::ConnOpen:
-    return "conn_open";
-  case EventKind::ConnClose:
-    return "conn_close";
-  case EventKind::FrameRecv:
-    return "frame_recv";
-  case EventKind::FrameSend:
-    return "frame_send";
   }
   return "unknown";
 }

@@ -69,13 +69,6 @@ enum class EventKind : uint8_t {
                     ///< Arg0 = consecutive failures
   BreakerProbe,     ///< half-open specialization probe; Name = fn
   BreakerClose,     ///< breaker closed after a successful probe; Name = fn
-  ConnOpen,         ///< wire connection accepted; Arg0 = connection id
-  ConnClose,        ///< ... closed; Arg0 = connection id, Arg1 = frames
-                    ///< decoded over its lifetime
-  FrameRecv,        ///< request frames decoded (coalesced per read
-                    ///< batch); Arg0 = connection id, Arg1 = frames
-  FrameSend,        ///< reply frames written (coalesced); Arg0 =
-                    ///< connection id, Arg1 = frames
 };
 
 /// Stable lower-case token for an event kind (exporters, text dumps).

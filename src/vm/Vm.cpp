@@ -238,24 +238,14 @@ uint8_t functTag(Funct Fn) {
 //===----------------------------------------------------------------------===//
 
 Vm::Vm(VmOptions Options) : Opts(Options) {
-  assert(Opts.MemBytes >= 4 && (Opts.MemBytes & 3) == 0 &&
-         "memory size must be word aligned and nonzero");
-  assert(std::has_single_bit(Opts.IcacheLineBytes) &&
-         "I-cache line size must be a power of two");
-  LineShift = static_cast<uint32_t>(std::countr_zero(Opts.IcacheLineBytes));
   // Process-wide escape hatch so the whole test suite can run against the
   // reference interpreter without touching every construction site.
   if (const char *E = std::getenv("FAB_DECODE_CACHE"))
     if (E[0] == '0' && E[1] == '\0')
       Opts.EnableDecodeCache = false;
-  // Same hatch for lifecycle tracing (forces it off even when a
-  // construction site requested it).
-  if (const char *E = std::getenv("FAB_TRACE"))
-    if (E[0] == '0' && E[1] == '\0')
-      Opts.EnableTrace = false;
   Ring.reset(Opts.TraceCapacity);
   Ring.setEnabled(Opts.EnableTrace);
-  Mem.resize(Opts.MemBytes, 0);
+  Mem.resize(MemBytes, 0);
   if (Opts.EnableDecodeCache)
     Quick.assign(QuickSlots, nullptr);
 }
@@ -342,7 +332,7 @@ void Vm::flushIcache(uint32_t Addr, uint32_t Len) {
   // The lines [Addr, Addr + Len) names, in 64-bit arithmetic; an
   // unaligned Addr cleans its own line even when Len is 0.
   const uint64_t End = uint64_t(Addr) + Len;
-  if (!DirtyCount || End <= (Addr & ~(Opts.IcacheLineBytes - 1)))
+  if (!DirtyCount || End <= (Addr & ~(IcacheLineBytes - 1)))
     return;
   const uint64_t First = lineOf(Addr), Last = (End - 1) >> LineShift;
   if (Last < DynLine0 || First >= uint64_t(DynLine0) + DynLines)
@@ -475,7 +465,7 @@ void Vm::dropBlocks(uint32_t Lo, uint32_t Hi) {
     const uint32_t L = It->first;
     auto &Owners = It->second;
     const uint64_t Begin = uint64_t(L) << LineShift;
-    if (Begin < Lo || Begin + Opts.IcacheLineBytes > Hi)
+    if (Begin < Lo || Begin + IcacheLineBytes > Hi)
       std::erase_if(Owners, [&](uint32_t Pc) { return !Blocks.count(Pc); });
     else
       Owners.clear();
@@ -533,10 +523,9 @@ void Vm::buildBlock(uint32_t Pc, Block &B) {
   B.Base = Pc;
   B.Region = regionClass(Pc);
   B.Ops.reserve(8);
-  const uint32_t Max = std::max(1u, Opts.MaxBlockInsts);
   uint32_t Count = 0;
 
-  while (Count < Max) {
+  while (Count < MaxBlockInsts) {
     if (!inBounds(Pc) || regionClass(Pc) != B.Region)
       break; // next instruction is the slow path's problem (BadFetch /
              // region straddle)
@@ -553,7 +542,7 @@ void Vm::buildBlock(uint32_t Pc, Block &B) {
     // a region boundary, or the end of memory.
     Inst N;
     bool HaveNext = false;
-    if (Count + 2 <= Max && inBounds(Pc + 4) &&
+    if (Count + 2 <= MaxBlockInsts && inBounds(Pc + 4) &&
         regionClass(Pc + 4) == B.Region)
       HaveNext = decode(fetch(Pc + 4), N);
 
@@ -671,9 +660,8 @@ void Vm::buildBlock(uint32_t Pc, Block &B) {
   }
 
   B.InstCount = Count;
-  const uint32_t Line = Opts.IcacheLineBytes;
-  B.FirstLine = B.Base / Line;
-  B.LastLine = (B.Base + 4 * Count - 1) / Line;
+  B.FirstLine = lineOf(B.Base);
+  B.LastLine = lineOf(B.Base + 4 * Count - 1);
 }
 
 Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
@@ -691,7 +679,7 @@ Vm::Block *Vm::lookupOrBuildBlock(uint32_t Pc) {
     // marks) the first entry.
     if (Dyn && !Entered.test(dynWord(Pc)))
       return nullptr;
-    if (Blocks.size() >= std::max(1u, Opts.MaxCachedBlocks))
+    if (Blocks.size() >= MaxCachedBlocks)
       clearDecodeCache();
     auto Owned = std::make_unique<Block>();
     buildBlock(Pc, *Owned);
@@ -765,10 +753,8 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
   // before executing freshly written dynamic code (paper section 3.4).
   if (DirtyCount && inDynRegion(Pc) && Dirty.test(dynLine(Pc))) {
     ++CoherenceViolations;
-    if (Opts.TrapOnIncoherentFetch) {
-      R = stopFault(Fault::IcacheIncoherent, Pc);
-      return true;
-    }
+    R = stopFault(Fault::IcacheIncoherent, Pc);
+    return true;
   }
 
   uint32_t Word = fetch(Pc);
@@ -918,9 +904,7 @@ bool Vm::stepSlow(RunState &S, ExecResult &R) {
       uint32_t Lo = RsV, Len = RtV;
       ++Stats.Flushes;
       Stats.FlushedBytes += Len;
-      Stats.Cycles += Opts.FlushTrapCycles;
-      if (Opts.FlushBytesPerCycle)
-        Stats.Cycles += Len / Opts.FlushBytesPerCycle;
+      Stats.Cycles += FlushTrapCycles + Len / FlushBytesPerCycle;
       flushIcache(Lo, Len);
       break;
     }
@@ -1319,9 +1303,7 @@ for (;;) {
       const uint32_t Lo = Regs[Op.Rs], FlushLen = Regs[Op.Rt];
       ++Stats.Flushes;
       Stats.FlushedBytes += FlushLen;
-      Stats.Cycles += Opts.FlushTrapCycles;
-      if (Opts.FlushBytesPerCycle)
-        Stats.Cycles += FlushLen / Opts.FlushBytesPerCycle;
+      Stats.Cycles += FlushTrapCycles + FlushLen / FlushBytesPerCycle;
       flushIcache(Lo, FlushLen);
       S.Pc = Pc + 4;
       return BlockExit::Next;

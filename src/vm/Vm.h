@@ -15,7 +15,8 @@
 /// discipline of section 3.4: writes into the dynamic code segment mark
 /// I-cache lines dirty, the `flush` service instruction invalidates them
 /// (charging a kernel-trap cost plus a per-byte cost), and fetching from a
-/// dirty line is a detectable coherence violation. This lets the test
+/// dirty line is a coherence violation that traps (Fault::IcacheIncoherent)
+/// and is counted (coherenceViolations()). This lets the test
 /// suite verify that generated generators follow the paper's flush and
 /// line-alignment discipline rather than merely assuming it.
 ///
@@ -29,6 +30,7 @@
 #include "telemetry/TraceRing.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -86,21 +88,10 @@ struct FaultInjector {
   bool OneShot = true;
 };
 
-/// Configuration for a simulator instance.
+/// Configuration for a simulator instance. The modeled machine itself
+/// (memory size, I-cache line, flush cost) is fixed: see the Vm constants.
 struct VmOptions {
-  uint32_t MemBytes = 64u << 20; ///< flat memory size
   uint64_t Fuel = 4'000'000'000ULL; ///< instruction budget per run() call
-  /// Modeled I-cache line size (bytes). DECstation 5000/200 had 16-byte
-  /// lines on a 64 KiB I-cache; we default to 16. Must be a power of two.
-  uint32_t IcacheLineBytes = 16;
-  /// Cost of one flush call: a kernel trap (~cycles) plus per-byte cost.
-  /// Paper: "a kernel trap plus approximately 0.8 nanoseconds per byte" on
-  /// a 25 MHz machine, i.e. one cycle per 50 bytes.
-  uint32_t FlushTrapCycles = 100;
-  uint32_t FlushBytesPerCycle = 50;
-  /// If true, fetching from a dirty dynamic-code line faults; if false the
-  /// violation is only counted (CoherenceViolations).
-  bool TrapOnIncoherentFetch = true;
   /// Optional deterministic fault injection; see FaultInjector. Can also be
   /// (re)armed on a live machine via Vm::injectFault().
   FaultInjector Injector;
@@ -115,18 +106,11 @@ struct VmOptions {
   /// environment variable forces it off process-wide (CI runs the test
   /// suite both ways).
   bool EnableDecodeCache = true;
-  /// Predecode window: maximum source instructions per cached block.
-  uint32_t MaxBlockInsts = 64;
-  /// Safety cap on distinct cached blocks; the cache is cleared and
-  /// rebuilt on demand when it fills (pathological code only).
-  uint32_t MaxCachedBlocks = 1u << 16;
   /// Lifecycle tracing into the per-machine TraceRing (see
   /// docs/TELEMETRY.md). Compiled in but default-off; when disabled the
   /// only cost is one predictable branch per instrumented site
   /// (bench_host_micro's BM_VmDispatchTraced measures the enabled cost).
-  /// The FAB_TRACE=0 environment variable forces it off process-wide,
-  /// mirroring FAB_DECODE_CACHE. Can also be flipped on a live machine
-  /// via Vm::trace().setEnabled().
+  /// Can also be flipped on a live machine via Vm::trace().setEnabled().
   bool EnableTrace = false;
   /// TraceRing capacity in events; when full the oldest event is dropped
   /// (and counted in TraceRing::dropped()).
@@ -153,6 +137,25 @@ public:
   /// Address the host installs in $ra for call(); a jump here returns
   /// control to the host.
   static constexpr uint32_t HostReturnAddr = 0xFFFFFFF0u;
+
+  // -- The modeled machine (fixed; compile-time checked below) -------------
+
+  /// Flat memory size.
+  static constexpr uint32_t MemBytes = 64u << 20;
+  /// Modeled I-cache line size (bytes): the DECstation 5000/200 had
+  /// 16-byte lines on a 64 KiB I-cache. The backend aligns each
+  /// specialization to it.
+  static constexpr uint32_t IcacheLineBytes = 16;
+  /// Cost of one flush call: a kernel trap (~cycles) plus per-byte cost.
+  /// Paper: "a kernel trap plus approximately 0.8 nanoseconds per byte" on
+  /// a 25 MHz machine, i.e. one cycle per 50 bytes.
+  static constexpr uint32_t FlushTrapCycles = 100;
+  static constexpr uint32_t FlushBytesPerCycle = 50;
+  /// Predecode window: maximum source instructions per cached block.
+  static constexpr uint32_t MaxBlockInsts = 64;
+  /// Safety cap on distinct cached blocks; the cache is cleared and
+  /// rebuilt on demand when it fills (pathological code only).
+  static constexpr uint32_t MaxCachedBlocks = 1u << 16;
 
   explicit Vm(VmOptions Opts = VmOptions());
 
@@ -201,6 +204,7 @@ public:
   ExecResult call(uint32_t EntryPc, const std::vector<uint32_t> &Args);
 
   const VmStats &stats() const { return Stats; }
+  /// Fetches from a dirty dynamic-code line (each one also trapped).
   uint64_t coherenceViolations() const { return CoherenceViolations; }
 
   const DecodeCacheStats &decodeCacheStats() const { return CacheStats; }
@@ -392,7 +396,7 @@ private:
     void clearAll() { std::fill(Words.begin(), Words.end(), 0); }
   };
 
-  uint32_t LineShift = 0; ///< log2(IcacheLineBytes)
+  static constexpr uint32_t LineShift = std::countr_zero(IcacheLineBytes);
   /// Dynamic-segment line range: absolute index of its first line, count.
   uint32_t DynLine0 = 0, DynLines = 0;
   /// Dirty (written, unflushed) I-cache lines of the dynamic segment, and
@@ -411,6 +415,12 @@ private:
   /// outside the regions cannot hit a block and skip invalidation.
   size_t OutsideBlocks = 0;
 };
+
+static_assert(std::has_single_bit(Vm::IcacheLineBytes),
+              "I-cache line size must be a power of two");
+static_assert(Vm::FlushBytesPerCycle > 0, "flush cost divides by it");
+static_assert(Vm::MaxBlockInsts > 0 && Vm::MaxCachedBlocks > 0,
+              "block limits must be nonzero");
 
 /// RAII fuel cap: while in scope, every run() on \p V gets at most \p Cap
 /// instructions (0 = leave the budget unchanged); the previous budget is

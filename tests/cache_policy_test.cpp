@@ -118,6 +118,24 @@ TEST(CachePolicy, DoorkeeperResistsOneShotScan) {
   EXPECT_TRUE(Cache.sighted(intKey(777)));
 }
 
+TEST(CachePolicy, ZeroCapacityCacheHoldsOneEntry) {
+  // The cache itself raises Capacity 0 to 1, so a directly built cache
+  // with the doorkeeper on never pops an empty ghost list.
+  CachePolicy P;
+  P.Capacity = 0;
+  SpecCache Cache(P);
+  EXPECT_EQ(Cache.capacity(), 1u);
+  EXPECT_TRUE(Cache.insert(intKey(1), 0x100u, 0));
+  EXPECT_EQ(Cache.size(), 1u);
+
+  // At capacity a new key is a first sighting (refused), then admitted
+  // on its second insert in place of the resident one.
+  EXPECT_FALSE(Cache.insert(intKey(2), 0x200u, 0));
+  EXPECT_TRUE(Cache.insert(intKey(2), 0x200u, 0));
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_TRUE(Cache.lookup(intKey(2), 0).has_value());
+}
+
 //===----------------------------------------------------------------------===//
 // Admission doorkeeper (through a server)
 //===----------------------------------------------------------------------===//

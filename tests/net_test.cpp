@@ -784,7 +784,7 @@ TEST(WireLoopback, PerConnCapAppliesPerConnection) {
 
 TEST(WireLoopback, PollFallbackReactorServesCorrectly) {
   // The poll(2) backend must be a drop-in for epoll: same protocol, same
-  // accounting, chosen via WireOptions (FAB_REACTOR=poll does the same).
+  // accounting, chosen via WireOptions.
   Compilation C = compileOrDie(mixedSrc(), mixedOptions());
   WireOptions WO;
   WO.ForcePollReactor = true;

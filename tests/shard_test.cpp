@@ -6,7 +6,7 @@
 // O(shards) aggregate under heavy churn, invalidation broadcasts across
 // shards, a pooled client matches the in-process oracle while spread
 // over every shard, idle reaping is shard-local, and the poll-fallback
-// reactor plus the FAB_REUSEPORT=0 veto leave semantics unchanged.
+// reactor leaves semantics unchanged.
 //
 // Every test here uses handoff mode (UseReusePort = false) unless it is
 // specifically about SO_REUSEPORT: kernel hashing over loopback is not
@@ -187,24 +187,6 @@ TEST(ShardTopology, ReusePortListenersServeTrafficOnOnePort) {
     EXPECT_EQ(R.Value, 32);
   }
   expectExactSums(*S.Wire);
-}
-
-TEST(ShardTopology, ReusePortEnvVetoFallsBackToHandoff) {
-  Compilation C = compileOrDie(workloads::MatmulSrc, FabiusOptions::deferred());
-  ::setenv("FAB_REUSEPORT", "0", 1);
-  WireOptions WO;
-  WO.Shards = 2;
-  WO.UseReusePort = true; // the env veto must win over the option
-  ShardedServer S(C, WO);
-  ::unsetenv("FAB_REUSEPORT");
-
-  EXPECT_FALSE(S.Wire->usingReusePort());
-  FabClient A = S.client(), B = S.client();
-  ASSERT_TRUE(waitForLive(*S.Wire, 2));
-  EXPECT_EQ(S.Wire->liveConnections(0), 1u);
-  EXPECT_EQ(S.Wire->liveConnections(1), 1u);
-  EXPECT_EQ(A.call("dotloop", DotEarly, DotLate).Value, 32);
-  EXPECT_EQ(B.call("dotloop", DotEarly, DotLate).Value, 32);
 }
 
 //===----------------------------------------------------------------------===//

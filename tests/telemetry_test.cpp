@@ -159,16 +159,6 @@ TEST(TelemetryTrace, DisabledPathRecordsNothing) {
   EXPECT_EQ(M.telemetry().TraceRecorded, 0u);
 }
 
-TEST(TelemetryTrace, FabTraceEnvVetoesEnableTrace) {
-  ::setenv("FAB_TRACE", "0", 1);
-  Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
-  Machine M(C.Unit, tracing());
-  ::unsetenv("FAB_TRACE");
-  M.specializeOrDie("f", {7});
-  EXPECT_FALSE(M.trace().enabled());
-  EXPECT_EQ(M.trace().recorded(), 0u);
-}
-
 TEST(TelemetryTrace, SetTraceEnabledFlipsALiveMachine) {
   Compilation C = compileOrDie(SimpleSrc, FabiusOptions::deferred());
   Machine M(C.Unit); // off at construction

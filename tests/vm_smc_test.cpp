@@ -374,10 +374,9 @@ TEST(SelfModifyingCode, FlushRangesNearTheTopOfTheAddressSpaceReturn) {
   EXPECT_EQ(static_cast<int32_t>(On.R.V0), 5);
   EXPECT_EQ(On.Violations, 0u);
   // The charged cost is unchanged: one trap each plus the per-byte cost.
-  VmOptions VO;
-  EXPECT_EQ(On.S.Cycles, On.S.Executed + 2 * VO.FlushTrapCycles +
-                             0xFu / VO.FlushBytesPerCycle +
-                             0xFFFFFFFFu / VO.FlushBytesPerCycle);
+  EXPECT_EQ(On.S.Cycles, On.S.Executed + 2 * Vm::FlushTrapCycles +
+                             0xFu / Vm::FlushBytesPerCycle +
+                             0xFFFFFFFFu / Vm::FlushBytesPerCycle);
 
   // The host-side flush shares the walk: both calls must return.
   Vm M;

@@ -21,7 +21,6 @@
 //   --trace FILE       record lifecycle events (specialize/memo/reset/...)
 //                      and write them as Chrome trace_event JSON, loadable
 //                      in chrome://tracing or Perfetto (docs/TELEMETRY.md)
-//   --no-trace         force tracing off (same as FAB_TRACE=0)
 //   --call FN ARG...   call FN; integer args, or [1,2,3] vector literals
 //
 // Example:
@@ -58,7 +57,7 @@ namespace {
                "            [--thread-jumps] [--no-decode-cache]\n"
                "            [--no-templates] [--disasm FN]\n"
                "            [--dump-staging] [--stats]\n"
-               "            [--trace FILE] [--no-trace]\n"
+               "            [--trace FILE]\n"
                "            --call FN ARG...\n"
                "ARG is an integer or a vector literal like [1,2,3]\n");
   std::exit(2);
@@ -125,9 +124,6 @@ int main(int Argc, char **Argv) {
         usage("--trace needs an output file");
       TraceFile = Argv[I];
       VmOpts.EnableTrace = true;
-    } else if (A == "--no-trace") {
-      VmOpts.EnableTrace = false;
-      TraceFile.clear();
     } else if (A == "--call") {
       if (++I >= Argc)
         usage("--call needs a function name");

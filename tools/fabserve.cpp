@@ -55,8 +55,7 @@
 // the Plain image when the entry point's observed reuse is too low
 // (requires a Plain fall-back, so it implies the fallback compile), and
 // --cache-load/--cache-save restore/persist warm cache state so a
-// restarted server skips the cold phase. FAB_CACHE_CAPACITY,
-// FAB_ADMISSION=0, and FAB_CACHE_FILE override at process level.
+// restarted server skips the cold phase.
 //
 // --chaos turns the driver into a deterministic chaos harness seeded by
 // --seed: every worker randomly arms one-shot fault injectors and forces
@@ -275,12 +274,8 @@ int main(int argc, char **argv) {
   SO.Pool.Cache.LoadFile = CacheLoad;
   SO.Pool.Cache.SaveFile = CacheSave;
   // Chaos defaults to a deliberately small queue so overload bursts
-  // actually shed; an explicit --queue-depth always wins. The pool
-  // applies the FAB_QUEUE_DEPTH veto itself; mirror it here so the
-  // banner prints the depth actually in effect.
+  // actually shed; an explicit --queue-depth always wins.
   SO.Pool.MaxQueueDepth = (Chaos && !QueueDepthSet) ? 16 : QueueDepth;
-  if (const char *Env = std::getenv("FAB_QUEUE_DEPTH"))
-    SO.Pool.MaxQueueDepth = std::strtoull(Env, nullptr, 0);
   SO.Pool.Breaker.Enabled = Breaker;
   SO.ReportIntervalMs = ReportIntervalMs;
   if (!TraceFile.empty())
