@@ -114,9 +114,12 @@ FnCompiler::FnCompiler(ModuleContext &Mc, const ml::FunDef &Fn, Mode Md)
                            "specialization");
       LateTempLimit = 11 - Used;
     }
+    HasNestedEntry = M.NestedGenLabels.count(&F) != 0;
+    assignEarlyRegs();
   }
 
-  // Frame layout (fp-relative): [fp save][ra][temp spill][gen slots][locals]
+  // Frame layout (fp-relative):
+  // [fp save][ra][temp spill][gen slots][$s saves][nested flag][locals]
   uint32_t Off = 0;
   Off += 4; // saved fp at 0
   RaOff = Off;
@@ -126,6 +129,10 @@ FnCompiler::FnCompiler(ModuleContext &Mc, const ml::FunDef &Fn, Mode Md)
   GenTmpOff = Off;
   NumGenSlots = (FMode == Mode::Generator) ? MaxGenSlots : 0;
   Off += 4 * NumGenSlots;
+  SaveOff = Off;
+  Off += 4 * NumEarlySRegs;
+  NestedOff = Off;
+  Off += HasNestedEntry ? 4 : 0;
   LocalOff = Off;
   Off += 4 * F.NumSlots;
   Cp0Slot = GenTmpOff + 4 * (NumGenSlots ? NumGenSlots - 1 : 0);
@@ -151,6 +158,8 @@ Reg FnCompiler::allocTemp(SourceLoc Loc) {
 }
 
 void FnCompiler::releaseTemp(Reg R) {
+  if (R >= S0 && R < S0 + NumEarlySRegs)
+    return; // borrowed early register
   for (unsigned I = 0; I < NumTemps; ++I)
     if (TempOrder[I] == R) {
       assert(TempUsed[I] && "double release of temporary");
@@ -158,6 +167,60 @@ void FnCompiler::releaseTemp(Reg R) {
       return;
     }
   assert(false && "released register is not a pool temporary");
+}
+
+bool FnCompiler::isTemp(Reg R) {
+  for (Reg T : TempOrder)
+    if (T == R)
+      return true;
+  return false;
+}
+
+Reg FnCompiler::destFor(Reg Src, Reg Hint, SourceLoc Loc) {
+  assert(!isTemp(Hint) && "destination hints name early registers");
+  if (Hint != Zero) {
+    releaseTemp(Src);
+    return Hint;
+  }
+  return isTemp(Src) ? Src : allocTemp(Loc);
+}
+
+Reg FnCompiler::destFor2(Reg L, Reg R, Reg Hint, SourceLoc Loc) {
+  if (Hint != Zero || isTemp(L)) {
+    if (R != L)
+      releaseTemp(R);
+    return destFor(L, Hint, Loc);
+  }
+  return isTemp(R) ? R : allocTemp(Loc);
+}
+
+Reg FnCompiler::earlyRegOf(uint32_t Slot) const {
+  auto It = EarlyRegs.find(Slot);
+  return It == EarlyRegs.end() ? Zero : It->second;
+}
+
+void FnCompiler::storeEarly(uint32_t Slot, Reg V) {
+  Reg S = earlyRegOf(Slot);
+  if (S == Zero)
+    A.sw(V, static_cast<int32_t>(slotOffset(Slot)), Fp);
+  else if (S != V)
+    A.move(S, V);
+}
+
+void FnCompiler::evalEarlyInto(uint32_t Slot, const Expr &E) {
+  Reg V = evalPlain(E, earlyRegOf(Slot));
+  storeEarly(Slot, V);
+  releaseTemp(V);
+}
+
+void FnCompiler::loadEarlyField(uint32_t Slot, int32_t Off, Reg Base) {
+  Reg S = earlyRegOf(Slot);
+  if (S != Zero) {
+    A.lw(S, Off, Base);
+    return;
+  }
+  A.lw(At, Off, Base);
+  A.sw(At, static_cast<int32_t>(slotOffset(Slot)), Fp);
 }
 
 void FnCompiler::spillTempsForCall() {
@@ -218,7 +281,7 @@ void FnCompiler::emitEpilogue() {
 // Plain expression evaluation
 //===----------------------------------------------------------------------===//
 
-Reg FnCompiler::emitPlainBinary(const Expr &E) {
+Reg FnCompiler::emitPlainBinary(const Expr &E, Reg Hint) {
   bool RealOps = E.OperandsAreReal;
   // Immediate folds: when one operand is a literal, the I-form instructions
   // cover the common integer operators without materializing the literal in
@@ -231,20 +294,23 @@ Reg FnCompiler::emitPlainBinary(const Expr &E) {
     case BinOpKind::Add:
       if (KR && fitsImm16(*KR)) {
         Reg L = evalPlain(*E.Kids[0]);
-        A.addiu(L, L, *KR);
-        return L;
+        Reg D = destFor(L, Hint, E.Loc);
+        A.addiu(D, L, *KR);
+        return D;
       }
       if (KL && fitsImm16(*KL)) {
         Reg R = evalPlain(*E.Kids[1]);
-        A.addiu(R, R, *KL);
-        return R;
+        Reg D = destFor(R, Hint, E.Loc);
+        A.addiu(D, R, *KL);
+        return D;
       }
       break;
     case BinOpKind::Sub:
       if (KR && *KR != INT32_MIN && fitsImm16(-*KR)) {
         Reg L = evalPlain(*E.Kids[0]);
-        A.addiu(L, L, -*KR);
-        return L;
+        Reg D = destFor(L, Hint, E.Loc);
+        A.addiu(D, L, -*KR);
+        return D;
       }
       break;
     case BinOpKind::Eq:
@@ -255,44 +321,39 @@ Reg FnCompiler::emitPlainBinary(const Expr &E) {
       std::optional<int32_t> K = KR && !KL ? KR : KL;
       if (Var && K && InUImm16(*K)) {
         Reg L = evalPlain(*Var);
-        if (*K != 0)
-          A.xori(L, L, static_cast<uint32_t>(*K));
+        Reg D = destFor(L, Hint, E.Loc);
+        if (*K != 0) {
+          A.xori(D, L, static_cast<uint32_t>(*K));
+          L = D;
+        }
         if (E.BinOp == BinOpKind::Eq)
-          A.sltiu(L, L, 1);
+          A.sltiu(D, L, 1);
         else
-          A.sltu(L, Zero, L);
-        return L;
+          A.sltu(D, Zero, L);
+        return D;
       }
       break;
     }
     case BinOpKind::Lt:
-      if (KR && fitsImm16(*KR)) {
-        Reg L = evalPlain(*E.Kids[0]);
-        A.slti(L, L, *KR);
-        return L;
-      }
-      break;
     case BinOpKind::Ge:
       if (KR && fitsImm16(*KR)) {
         Reg L = evalPlain(*E.Kids[0]);
-        A.slti(L, L, *KR);
-        A.xori(L, L, 1);
-        return L;
+        Reg D = destFor(L, Hint, E.Loc);
+        A.slti(D, L, *KR);
+        if (E.BinOp == BinOpKind::Ge)
+          A.xori(D, D, 1);
+        return D;
       }
       break;
     case BinOpKind::Gt: // K > r  <=>  r < K
-      if (KL && fitsImm16(*KL)) {
-        Reg R = evalPlain(*E.Kids[1]);
-        A.slti(R, R, *KL);
-        return R;
-      }
-      break;
     case BinOpKind::Le: // K <= r  <=>  !(r < K)
       if (KL && fitsImm16(*KL)) {
         Reg R = evalPlain(*E.Kids[1]);
-        A.slti(R, R, *KL);
-        A.xori(R, R, 1);
-        return R;
+        Reg D = destFor(R, Hint, E.Loc);
+        A.slti(D, R, *KL);
+        if (E.BinOp == BinOpKind::Le)
+          A.xori(D, D, 1);
+        return D;
       }
       break;
     default:
@@ -301,64 +362,64 @@ Reg FnCompiler::emitPlainBinary(const Expr &E) {
   }
   Reg L = evalPlain(*E.Kids[0]);
   Reg R = evalPlain(*E.Kids[1]);
+  Reg D = destFor2(L, R, Hint, E.Loc);
   switch (E.BinOp) {
   case BinOpKind::Add:
-    RealOps ? A.fadd(L, L, R) : A.addu(L, L, R);
+    RealOps ? A.fadd(D, L, R) : A.addu(D, L, R);
     break;
   case BinOpKind::Sub:
-    RealOps ? A.fsub(L, L, R) : A.subu(L, L, R);
+    RealOps ? A.fsub(D, L, R) : A.subu(D, L, R);
     break;
   case BinOpKind::Mul:
-    RealOps ? A.fmul(L, L, R) : A.mul(L, L, R);
+    RealOps ? A.fmul(D, L, R) : A.mul(D, L, R);
     break;
   case BinOpKind::Div:
-    RealOps ? A.fdiv(L, L, R) : A.divq(L, L, R);
+    RealOps ? A.fdiv(D, L, R) : A.divq(D, L, R);
     break;
   case BinOpKind::Mod:
-    A.rem(L, L, R);
+    A.rem(D, L, R);
     break;
   case BinOpKind::Eq:
     if (RealOps) {
-      A.feq(L, L, R);
+      A.feq(D, L, R);
     } else {
-      A.xor_(L, L, R);
-      A.sltiu(L, L, 1);
+      A.xor_(D, L, R);
+      A.sltiu(D, D, 1);
     }
     break;
   case BinOpKind::Ne:
     if (RealOps) {
-      A.feq(L, L, R);
-      A.xori(L, L, 1);
+      A.feq(D, L, R);
+      A.xori(D, D, 1);
     } else {
-      A.xor_(L, L, R);
-      A.sltu(L, Zero, L);
+      A.xor_(D, L, R);
+      A.sltu(D, Zero, D);
     }
     break;
   case BinOpKind::Lt:
-    RealOps ? A.flt(L, L, R) : A.slt(L, L, R);
+    RealOps ? A.flt(D, L, R) : A.slt(D, L, R);
     break;
   case BinOpKind::Le:
     if (RealOps) {
-      A.fle(L, L, R);
+      A.fle(D, L, R);
     } else {
-      A.slt(L, R, L);
-      A.xori(L, L, 1);
+      A.slt(D, R, L);
+      A.xori(D, D, 1);
     }
     break;
   case BinOpKind::Gt:
-    RealOps ? A.flt(L, R, L) : A.slt(L, R, L);
+    RealOps ? A.flt(D, R, L) : A.slt(D, R, L);
     break;
   case BinOpKind::Ge:
     if (RealOps) {
-      A.fle(L, R, L);
+      A.fle(D, R, L);
     } else {
-      A.slt(L, L, R);
-      A.xori(L, L, 1);
+      A.slt(D, L, R);
+      A.xori(D, D, 1);
     }
     break;
   }
-  releaseTemp(R);
-  return L;
+  return D;
 }
 
 void FnCompiler::evalPlainCond(const Expr &E, Label Target, bool WhenTrue) {
@@ -420,17 +481,18 @@ void FnCompiler::evalPlainCond(const Expr &E, Label Target, bool WhenTrue) {
       }
       Reg C;
       if (!Swap && KR && fitsImm16(*KR)) {
-        C = evalPlain(*E.Kids[0]);
-        A.slti(C, C, *KR);
+        Reg L = evalPlain(*E.Kids[0]);
+        C = destFor(L, Zero, E.Loc);
+        A.slti(C, L, *KR);
       } else if (Swap && KL && fitsImm16(*KL)) {
-        C = evalPlain(*E.Kids[1]);
-        A.slti(C, C, *KL);
+        Reg R = evalPlain(*E.Kids[1]);
+        C = destFor(R, Zero, E.Loc);
+        A.slti(C, R, *KL);
       } else {
         Reg L = evalPlain(*E.Kids[0]);
         Reg R = evalPlain(*E.Kids[1]);
-        Swap ? A.slt(L, R, L) : A.slt(L, L, R);
-        releaseTemp(R);
-        C = L;
+        C = destFor2(L, R, Zero, E.Loc);
+        Swap ? A.slt(C, R, L) : A.slt(C, L, R);
       }
       (WhenTrue != Negate) ? A.bnez(C, Target) : A.beqz(C, Target);
       releaseTemp(C);
@@ -445,7 +507,7 @@ void FnCompiler::evalPlainCond(const Expr &E, Label Target, bool WhenTrue) {
   releaseTemp(C);
 }
 
-Reg FnCompiler::emitPlainVSub(const Expr &E) {
+Reg FnCompiler::emitPlainVSub(const Expr &E, Reg Hint) {
   Reg V = evalPlain(*E.Kids[0]);
   Reg I = evalPlain(*E.Kids[1]);
   Label Ok = A.newLabel();
@@ -454,11 +516,17 @@ Reg FnCompiler::emitPlainVSub(const Expr &E) {
   A.bnez(At, Ok);
   A.trap(TrapCode::Bounds);
   A.bind(Ok);
-  A.sll(I, I, 2);
-  A.addu(V, V, I);
-  A.lw(V, 4, V);
-  releaseTemp(I);
-  return V;
+  // Scaled index and element address go to temporaries: in place when the
+  // operands are temporaries, fresh when they are borrowed early registers.
+  Reg Ti = isTemp(I) ? I : allocTemp(E.Loc);
+  A.sll(Ti, I, 2);
+  Reg Tv = isTemp(V) ? V : Ti;
+  A.addu(Tv, V, Ti);
+  if (Ti != Tv)
+    releaseTemp(Ti);
+  Reg D = destFor(Tv, Hint, E.Loc);
+  A.lw(D, 4, Tv);
+  return D;
 }
 
 void FnCompiler::emitPlainCase(const Expr &E, Reg Result) {
@@ -481,12 +549,10 @@ void FnCompiler::emitPlainCase(const Expr &E, Reg Result) {
         A.li(At, static_cast<int32_t>(Arm->Con->Tag));
         A.bne(Tag, At, Next);
       }
-      for (size_t FI = 0; FI < Arm->FieldSlots.size(); ++FI) {
-        if (Arm->FieldSlots[FI] == ~0u)
-          continue;
-        A.lw(At, static_cast<int32_t>(4 + 4 * FI), Scrut);
-        A.sw(At, static_cast<int32_t>(slotOffset(Arm->FieldSlots[FI])), Fp);
-      }
+      for (size_t FI = 0; FI < Arm->FieldSlots.size(); ++FI)
+        if (Arm->FieldSlots[FI] != ~0u)
+          loadEarlyField(Arm->FieldSlots[FI], static_cast<int32_t>(4 + 4 * FI),
+                         Scrut);
       break;
     case CaseArm::PatKind::IntLit:
       if (Arm->IntValue == 0) {
@@ -497,7 +563,7 @@ void FnCompiler::emitPlainCase(const Expr &E, Reg Result) {
       }
       break;
     case CaseArm::PatKind::Var:
-      A.sw(Scrut, static_cast<int32_t>(slotOffset(Arm->VarSlot)), Fp);
+      storeEarly(Arm->VarSlot, Scrut);
       HasCatchAll = true;
       break;
     case CaseArm::PatKind::Wild:
@@ -595,45 +661,49 @@ Reg FnCompiler::evalPlainCall(const Expr &E) {
   return R;
 }
 
-Reg FnCompiler::evalPlain(const Expr &E) {
+Reg FnCompiler::evalPlain(const Expr &E, Reg Hint) {
+  auto Dest = [&] { return Hint != Zero ? Hint : allocTemp(E.Loc); };
   switch (E.K) {
   case Expr::Kind::IntLit: {
-    Reg R = allocTemp(E.Loc);
+    Reg R = Dest();
     A.li(R, E.IntValue);
     return R;
   }
   case Expr::Kind::RealLit: {
-    Reg R = allocTemp(E.Loc);
+    Reg R = Dest();
     A.li(R, static_cast<int32_t>(std::bit_cast<uint32_t>(E.RealValue)));
     return R;
   }
   case Expr::Kind::BoolLit: {
-    Reg R = allocTemp(E.Loc);
+    Reg R = Dest();
     A.li(R, E.BoolValue ? 1 : 0);
     return R;
   }
   case Expr::Kind::UnitLit: {
-    Reg R = allocTemp(E.Loc);
+    Reg R = Dest();
     A.li(R, 0);
     return R;
   }
   case Expr::Kind::Var: {
-    Reg R = allocTemp(E.Loc);
+    if (Reg S = earlyRegOf(E.VarSlot); S != Zero)
+      return S; // borrowed
+    Reg R = Dest();
     A.lw(R, static_cast<int32_t>(slotOffset(E.VarSlot)), Fp);
     return R;
   }
   case Expr::Kind::Unary: {
     Reg R = evalPlain(*E.Kids[0]);
+    Reg D = destFor(R, Hint, E.Loc);
     if (E.UnOp == UnOpKind::Not)
-      A.xori(R, R, 1);
+      A.xori(D, R, 1);
     else if (E.OperandsAreReal)
-      A.fsub(R, Zero, R);
+      A.fsub(D, Zero, R);
     else
-      A.subu(R, Zero, R);
-    return R;
+      A.subu(D, Zero, R);
+    return D;
   }
   case Expr::Kind::Binary:
-    return emitPlainBinary(E);
+    return emitPlainBinary(E, Hint);
 
   case Expr::Kind::If: {
     Reg Result = allocTemp(E.Loc);
@@ -651,12 +721,9 @@ Reg FnCompiler::evalPlain(const Expr &E) {
     return Result;
   }
 
-  case Expr::Kind::Let: {
-    Reg R = evalPlain(*E.Kids[0]);
-    A.sw(R, static_cast<int32_t>(slotOffset(E.VarSlot)), Fp);
-    releaseTemp(R);
-    return evalPlain(*E.Kids[1]);
-  }
+  case Expr::Kind::Let:
+    evalEarlyInto(E.VarSlot, *E.Kids[0]);
+    return evalPlain(*E.Kids[1], Hint);
 
   case Expr::Kind::Case: {
     Reg Result = allocTemp(E.Loc);
@@ -683,20 +750,23 @@ Reg FnCompiler::evalPlain(const Expr &E) {
     switch (E.Prim) {
     case PrimKind::Length: {
       Reg V = evalPlain(*E.Kids[0]);
-      A.lw(V, 0, V);
-      return V;
+      Reg D = destFor(V, Hint, E.Loc);
+      A.lw(D, 0, V);
+      return D;
     }
     case PrimKind::VSub:
-      return emitPlainVSub(E);
+      return emitPlainVSub(E, Hint);
     case PrimKind::RealOf: {
       Reg R = evalPlain(*E.Kids[0]);
-      A.cvtsw(R, R);
-      return R;
+      Reg D = destFor(R, Hint, E.Loc);
+      A.cvtsw(D, R);
+      return D;
     }
     case PrimKind::Trunc: {
       Reg R = evalPlain(*E.Kids[0]);
-      A.cvtws(R, R);
-      return R;
+      Reg D = destFor(R, Hint, E.Loc);
+      A.cvtws(D, R);
+      return D;
     }
     case PrimKind::MkVec: {
       evalArgsToStage(E, 0, 2);
@@ -719,51 +789,52 @@ Reg FnCompiler::evalPlain(const Expr &E) {
         bool IsShift = E.Prim == PrimKind::Lsh || E.Prim == PrimKind::Rsh;
         if (IsShift ? (*K >= 0 && *K < 32) : (*K >= 0 && *K <= 0xFFFF)) {
           Reg L = evalPlain(*E.Kids[0]);
+          Reg D = destFor(L, Hint, E.Loc);
           switch (E.Prim) {
           case PrimKind::Andb:
-            A.andi(L, L, static_cast<uint32_t>(*K));
+            A.andi(D, L, static_cast<uint32_t>(*K));
             break;
           case PrimKind::Orb:
-            A.ori(L, L, static_cast<uint32_t>(*K));
+            A.ori(D, L, static_cast<uint32_t>(*K));
             break;
           case PrimKind::Xorb:
-            A.xori(L, L, static_cast<uint32_t>(*K));
+            A.xori(D, L, static_cast<uint32_t>(*K));
             break;
           case PrimKind::Lsh:
-            A.sll(L, L, static_cast<unsigned>(*K));
+            A.sll(D, L, static_cast<unsigned>(*K));
             break;
           case PrimKind::Rsh:
-            A.srl(L, L, static_cast<unsigned>(*K));
+            A.srl(D, L, static_cast<unsigned>(*K));
             break;
           default:
             break;
           }
-          return L;
+          return D;
         }
       }
       Reg L = evalPlain(*E.Kids[0]);
       Reg R = evalPlain(*E.Kids[1]);
+      Reg D = destFor2(L, R, Hint, E.Loc);
       switch (E.Prim) {
       case PrimKind::Andb:
-        A.and_(L, L, R);
+        A.and_(D, L, R);
         break;
       case PrimKind::Orb:
-        A.or_(L, L, R);
+        A.or_(D, L, R);
         break;
       case PrimKind::Xorb:
-        A.xor_(L, L, R);
+        A.xor_(D, L, R);
         break;
       case PrimKind::Lsh:
-        A.sllv(L, L, R);
+        A.sllv(D, L, R);
         break;
       case PrimKind::Rsh:
-        A.srlv(L, L, R);
+        A.srlv(D, L, R);
         break;
       default:
         break;
       }
-      releaseTemp(R);
-      return L;
+      return D;
     }
     case PrimKind::VSet: {
       Reg V = evalPlain(*E.Kids[0]);
@@ -774,14 +845,17 @@ Reg FnCompiler::evalPlain(const Expr &E) {
       A.bnez(At, Ok);
       A.trap(TrapCode::Bounds);
       A.bind(Ok);
-      A.sll(I, I, 2);
-      A.addu(V, V, I);
+      Reg Ti = isTemp(I) ? I : allocTemp(E.Loc);
+      A.sll(Ti, I, 2);
+      Reg Tv = isTemp(V) ? V : Ti;
+      A.addu(Tv, V, Ti);
       Reg X = evalPlain(*E.Kids[2]);
-      A.sw(X, 4, V);
+      A.sw(X, 4, Tv);
       releaseTemp(X);
-      releaseTemp(I);
-      A.li(V, 0); // unit
-      return V;
+      if (Ti != Tv)
+        releaseTemp(Ti);
+      A.li(Tv, 0); // unit
+      return Tv;
     }
     }
     break;
@@ -1068,6 +1142,14 @@ bool fab::compileProgram(const ml::Program &P, const BackendOptions &Opts,
   }
   if (Diags.hasErrors())
     return false;
+  if (Opts.Mode == CompileMode::Deferred && !generationRunsStagedCode(P)) {
+    std::set<const FunDef *> Eager;
+    for (const auto &F : P.Functions)
+      if (F->isStaged())
+        collectEagerCallees(*F, Opts, Eager);
+    for (const FunDef *F : Eager)
+      M.NestedGenLabels[F] = M.Asm.newLabel();
+  }
 
   emitRuntimeRoutines(M);
 

@@ -10,10 +10,16 @@
 ///
 /// Register conventions:
 ///
-/// *Generator (and all plain) code*: named locals live in frame slots;
-/// expression temporaries come from a LIFO pool {t0..t7, v1}; $at, $t8,
-/// $t9 are scratch for pseudo-instructions and instruction-encoding
-/// construction.
+/// *Plain code*: named locals live in frame slots; expression temporaries
+/// come from a free-list pool {t0..t7, v1}; $at, $t8, $t9 are scratch for
+/// pseudo-instructions and instruction-encoding construction.
+///
+/// *Generator code*: as plain code, except that the early parameters and
+/// early named values a register pays for live in callee-saved $s0..$s7
+/// (EarlyRegs). They are saved, loaded and restored on the memo-miss path
+/// only, so a memo hit runs the same instructions as a frame-slot
+/// generator. Plain evaluation returns such a register *borrowed*: the
+/// caller reads it but never writes it or returns it to the pool.
 ///
 /// *Generated (dynamic) code*: late parameters arrive in $a0..$a3. In a
 /// leaf specialization they stay there and named late locals are assigned
@@ -36,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 namespace fab {
@@ -50,6 +57,13 @@ struct ModuleContext {
 
   std::map<const ml::FunDef *, Label> FnLabels;  ///< plain entry / wrapper
   std::map<const ml::FunDef *, Label> GenLabels; ///< deferred: generator
+  /// Second generator entry for callees of eager (memoized) tail calls.
+  /// It runs the same memo lookup but marks the frame as nested, and a
+  /// nested generator skips its I-cache flush: the outermost generator's
+  /// flush of its whole emitted range already covers the callee's code.
+  /// Empty when generation can run generated code (see
+  /// generationRunsStagedCode).
+  std::map<const ml::FunDef *, Label> NestedGenLabels;
   std::map<const ml::FunDef *, uint32_t> MemoAddrs;
   Label MkVecLabel;
 
@@ -80,6 +94,18 @@ struct ModuleContext {
 /// Emits the in-VM runtime routines (currently __mkvec) and records their
 /// labels in \p M.
 void emitRuntimeRoutines(ModuleContext &M);
+
+/// Adds to \p Out every staged function that staged function \p F's
+/// generator enters eagerly: the callees of late staged tail calls that
+/// are not inlined self tail calls (genTail's memoized tail call).
+void collectEagerCallees(const ml::FunDef &F, const BackendOptions &Opts,
+                         std::set<const ml::FunDef *> &Out);
+
+/// True when some generator's early code calls an unstaged function that
+/// can reach a staged call. Such a call runs generated code before the
+/// outermost generator finishes, possibly code a nested generator emitted
+/// and did not flush, so the program gets no nested generator entries.
+bool generationRunsStagedCode(const ml::Program &P);
 
 /// Pool of early/plain expression temporaries, in allocation order.
 inline constexpr Reg TempOrder[9] = {T0, T1, T2, T3, T4, T5, T6, T7, V1};
@@ -125,14 +151,35 @@ private:
   uint32_t slotOffset(uint32_t Slot) const;
 
   // Early/plain temporaries (registers of the *running* function).
-  // Free-list allocation: any release order is fine.
+  // Free-list allocation: any release order is fine. Releasing a borrowed
+  // early register (EarlyRegs) is a no-op.
   Reg allocTemp(SourceLoc Loc);
   void releaseTemp(Reg R);
+  static bool isTemp(Reg R);
+  /// Destination of an operation on \p Src: \p Hint when given (not
+  /// Zero), else Src when it is a pool temporary (computed in place),
+  /// else a fresh temporary. Src is released when it is not the result.
+  Reg destFor(Reg Src, Reg Hint, SourceLoc Loc);
+  /// Two-operand form: Hint, else L, else R if a temporary, else fresh.
+  /// The operand that does not become the destination is released.
+  Reg destFor2(Reg L, Reg R, Reg Hint, SourceLoc Loc);
   void spillTempsForCall();
   void reloadTempsAfterCall();
 
-  // Plain expression evaluation; result in a pool temp.
-  Reg evalPlain(const Expr &E);
+  // Plain expression evaluation; result in a pool temp, or a borrowed
+  // early register. \p Hint (not Zero) names a register the outermost
+  // operation may write its result to directly; the caller must ensure
+  // nothing evaluated later reads Hint's old value.
+  Reg evalPlain(const Expr &E, Reg Hint = Zero);
+  /// The register holding early named value \p Slot, or Zero when the
+  /// value lives in its frame slot.
+  Reg earlyRegOf(uint32_t Slot) const;
+  /// Stores \p V into the early named value \p Slot.
+  void storeEarly(uint32_t Slot, Reg V);
+  /// Evaluates \p E straight into the early named value \p Slot.
+  void evalEarlyInto(uint32_t Slot, const Expr &E);
+  /// Binds early named value \p Slot to the word at \p Off(\p Base).
+  void loadEarlyField(uint32_t Slot, int32_t Off, Reg Base);
   /// Tail-position evaluation in plain code: direct self tail calls become
   /// jumps (the paper's ML compiler performs tail-call optimization, and
   /// the benchmark drivers rely on bounded stack usage).
@@ -141,8 +188,8 @@ private:
   Reg evalPlainCall(const Expr &E);
   void evalArgsToStage(const Expr &E, size_t First, size_t Count);
   void loadStagedArgsIntoRegs(size_t Count, uint32_t StackBase);
-  Reg emitPlainVSub(const Expr &E);
-  Reg emitPlainBinary(const Expr &E);
+  Reg emitPlainVSub(const Expr &E, Reg Hint);
+  Reg emitPlainBinary(const Expr &E, Reg Hint);
   void emitPlainCase(const Expr &E, Reg Result);
   /// Branches to \p Target when E's truth value equals \p WhenTrue,
   /// fusing comparisons into the branch (beq/bne/slt+bnez) instead of
@@ -241,6 +288,8 @@ private:
   /// reserve-hole/backpatch pair. nullopt for any shape whose length the
   /// generator cannot know statically; callers then fall back to a hole.
   std::optional<uint32_t> tailEmitLength(const Expr &E) const;
+  /// Assigns an inlined self tail call's early arguments (loop strategy).
+  void emitLoopUpdate(const Expr &E);
   void emitLateReturn(LateReg Value);
   void emitGeneratedPrologue();
   void emitRestoreFrame();
@@ -268,8 +317,21 @@ private:
   /// Patches a jump hole targeting the address in \p AddrReg.
   void patchJumpHoleToReg(uint32_t HoleSlot, Reg AddrReg);
 
-  void emitMemoPrologue();
+  /// Early key \p J for the memo path: $a0..$a3, or loaded into $t8.
+  Reg memoKeyReg(size_t J);
+  /// Memo lookup on the early keys. A hit returns through GenRetLabel;
+  /// a miss falls through with the returned table/count/entry registers
+  /// live for emitMissPath.
+  struct MemoRegs {
+    Reg Table = Zero, Count = Zero, Entry = Zero;
+  };
+  MemoRegs emitMemoLookup();
+  /// Miss path shared by both entries: guard, alignment, in-progress memo
+  /// entry, early registers, generated prologue.
+  void emitMissPath(MemoRegs R);
   void emitGeneratorFinish();
+  /// Picks the early named values that live in $s registers.
+  void assignEarlyRegs();
   void emitCodeSpaceGuard();
 
   // ====================== wrappers / helpers ==============================
@@ -294,6 +356,8 @@ private:
   uint32_t RaOff = 0;
   uint32_t FrameSize = 0;
   uint32_t Cp0Slot = 0; ///< generator frame slot holding the spec start
+  uint32_t SaveOff = 0; ///< generator: save area of the $s registers used
+  uint32_t NestedOff = 0; ///< generator: nonzero when entered nested
 
   // Early temp pool (free list).
   static constexpr unsigned NumTemps = 9;
@@ -303,7 +367,12 @@ private:
   bool GenNonLeaf = false;
   bool HasInlinedSelfTail = false;
   bool NeedsBodyRecursion = false;
+  bool HasNestedEntry = false; ///< some generator calls this one eagerly
   Label BodyStart;
+  Label MissCommon;
+  /// Early named value slot -> callee-saved register ($s0 upward).
+  std::map<uint32_t, Reg> EarlyRegs;
+  unsigned NumEarlySRegs = 0;
   std::map<uint32_t, uint8_t> LateSlotReg; ///< slot -> fixed late register
   unsigned NumLateParams = 0;
   unsigned NumLateSRegs = 0; ///< non-leaf: s-registers used (params+locals)

@@ -9,6 +9,7 @@
 
 #include "backend/CodegenInternal.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -94,6 +95,149 @@ void FnCompiler::scanBody(const Expr &E, bool IsTail, bool UnderLateCond) {
     for (const auto &K : E.Kids)
       scanBody(*K, false, UnderLateCond);
     return;
+  }
+}
+
+void fab::backend_detail::collectEagerCallees(
+    const FunDef &F, const BackendOptions &Opts, std::set<const FunDef *> &Out) {
+  // Walks the tail positions genTail walks.
+  std::function<void(const Expr &)> Walk = [&](const Expr &E) {
+    switch (E.K) {
+    case Expr::Kind::If:
+      Walk(*E.Kids[1]);
+      Walk(*E.Kids[2]);
+      return;
+    case Expr::Kind::Let:
+      Walk(*E.Kids[1]);
+      return;
+    case Expr::Kind::Case:
+      for (const auto &Arm : E.Arms)
+        Walk(*Arm->Body);
+      return;
+    case Expr::Kind::Call:
+      if (E.S == Stage::Late && E.Callee && E.Callee->isStaged() &&
+          !(E.Callee == &F && !Opts.MemoizedSelfCalls.count(F.Name)))
+        Out.insert(E.Callee);
+      return;
+    default:
+      return;
+    }
+  };
+  Walk(*F.Body);
+}
+
+bool fab::backend_detail::generationRunsStagedCode(const ml::Program &P) {
+  auto forEachCall = [](const Expr &Root, auto &&Fn) {
+    std::function<void(const Expr &)> Walk = [&](const Expr &E) {
+      if (E.K == Expr::Kind::Call)
+        Fn(E);
+      for (const auto &K : E.Kids)
+        Walk(*K);
+      for (const auto &Arm : E.Arms)
+        Walk(*Arm->Body);
+    };
+    Walk(Root);
+  };
+  // Unstaged functions whose plain code can call a staged function, which
+  // runs that function's generator and then the code it returns.
+  std::set<const FunDef *> Reaches;
+  for (bool Grew = true; Grew;) {
+    Grew = false;
+    for (const auto &F : P.Functions) {
+      if (F->isStaged() || Reaches.count(F.get()))
+        continue;
+      bool Hit = false;
+      forEachCall(*F->Body, [&](const Expr &E) {
+        Hit |= E.Callee->isStaged() || Reaches.count(E.Callee) != 0;
+      });
+      if (Hit) {
+        Reaches.insert(F.get());
+        Grew = true;
+      }
+    }
+  }
+  bool Runs = false;
+  for (const auto &F : P.Functions)
+    if (F->isStaged())
+      forEachCall(*F->Body, [&](const Expr &E) {
+        Runs |= E.S == Stage::Early && Reaches.count(E.Callee) != 0;
+      });
+  return Runs;
+}
+
+namespace {
+using SlotCounts = std::map<uint32_t, unsigned>;
+
+/// Frame accesses a register would save for each early named value along
+/// the costliest generation path: one load per read, one store per binding.
+/// Both arms of a late conditional are generated, so their counts add;
+/// only one arm of an early one runs, so the larger count stands.
+SlotCounts earlyUses(const Expr &E) {
+  SlotCounts C;
+  auto Add = [](SlotCounts &To, const SlotCounts &From, bool OneArmRuns) {
+    for (auto [Slot, N] : From)
+      To[Slot] = OneArmRuns ? std::max(To[Slot], N) : To[Slot] + N;
+  };
+  switch (E.K) {
+  case Expr::Kind::Var:
+    if (E.S == Stage::Early)
+      C[E.VarSlot] = 1;
+    return C;
+  case Expr::Kind::If: {
+    C = earlyUses(*E.Kids[0]);
+    SlotCounts Arms = earlyUses(*E.Kids[1]);
+    Add(Arms, earlyUses(*E.Kids[2]), E.Kids[0]->S == Stage::Early);
+    Add(C, Arms, false);
+    return C;
+  }
+  case Expr::Kind::Let:
+    C = earlyUses(*E.Kids[0]);
+    if (E.Kids[0]->S == Stage::Early)
+      ++C[E.VarSlot];
+    Add(C, earlyUses(*E.Kids[1]), false);
+    return C;
+  case Expr::Kind::Case: {
+    C = earlyUses(*E.Kids[0]);
+    bool EarlyScrut = E.Kids[0]->S == Stage::Early;
+    SlotCounts Arms;
+    for (const auto &Arm : E.Arms) {
+      SlotCounts Body = earlyUses(*Arm->Body);
+      if (EarlyScrut) {
+        for (uint32_t Slot : Arm->FieldSlots)
+          if (Slot != ~0u)
+            ++Body[Slot];
+        if (Arm->PK == CaseArm::PatKind::Var)
+          ++Body[Arm->VarSlot];
+      }
+      Add(Arms, Body, EarlyScrut);
+    }
+    Add(C, Arms, false);
+    return C;
+  }
+  default:
+    for (const auto &K : E.Kids)
+      Add(C, earlyUses(*K), false);
+    return C;
+  }
+}
+} // namespace
+
+void FnCompiler::assignEarlyRegs() {
+  // The recursion strategy's body procedure keeps its early values in its
+  // own frame.
+  if (NeedsBodyRecursion)
+    return;
+  std::set<uint32_t> Params;
+  for (const Param &P : F.Groups[0])
+    Params.insert(P.Slot);
+  // A register costs a save and a restore on the miss path, plus the move
+  // from $a for a parameter. A looping generator runs its body once per
+  // unrolled iteration, so there every early value pays for its register;
+  // otherwise a value needs more frame accesses than that cost.
+  for (auto [Slot, N] : earlyUses(*F.Body)) {
+    unsigned Cost = Params.count(Slot) ? 3 : 2;
+    if ((HasInlinedSelfTail || N > Cost) && NumEarlySRegs < 8)
+      EarlyRegs[Slot] = static_cast<Reg>(S0 + NumEarlySRegs++);
   }
 }
 
@@ -936,12 +1080,10 @@ LateReg FnCompiler::evalLateCase(const Expr &E) {
           A.li(At, static_cast<int32_t>(Arm->Con->Tag));
           A.bne(Tag, At, Next);
         }
-        for (size_t FI = 0; FI < Arm->FieldSlots.size(); ++FI) {
-          if (Arm->FieldSlots[FI] == ~0u)
-            continue;
-          A.lw(At, static_cast<int32_t>(4 + 4 * FI), Scrut);
-          A.sw(At, static_cast<int32_t>(slotOffset(Arm->FieldSlots[FI])), Fp);
-        }
+        for (size_t FI = 0; FI < Arm->FieldSlots.size(); ++FI)
+          if (Arm->FieldSlots[FI] != ~0u)
+            loadEarlyField(Arm->FieldSlots[FI],
+                           static_cast<int32_t>(4 + 4 * FI), Scrut);
         break;
       case CaseArm::PatKind::IntLit:
         if (Arm->IntValue == 0) {
@@ -952,7 +1094,7 @@ LateReg FnCompiler::evalLateCase(const Expr &E) {
         }
         break;
       case CaseArm::PatKind::Var:
-        A.sw(Scrut, static_cast<int32_t>(slotOffset(Arm->VarSlot)), Fp);
+        storeEarly(Arm->VarSlot, Scrut);
         HasCatchAll = true;
         break;
       case CaseArm::PatKind::Wild:
@@ -1253,9 +1395,7 @@ LateReg FnCompiler::evalLate(const Expr &E) {
   case Expr::Kind::Let: {
     const Expr &Rhs = *E.Kids[0];
     if (Rhs.S == Stage::Early) {
-      Reg V = evalPlain(Rhs);
-      A.sw(V, static_cast<int32_t>(slotOffset(E.VarSlot)), Fp);
-      releaseTemp(V);
+      evalEarlyInto(E.VarSlot, Rhs);
     } else {
       LateReg V = evalLate(Rhs);
       bindLateSlot(E.VarSlot, V);
@@ -1563,9 +1703,7 @@ void FnCompiler::genTail(const Expr &E) {
   case Expr::Kind::Let: {
     const Expr &Rhs = *E.Kids[0];
     if (Rhs.S == Stage::Early) {
-      Reg V = evalPlain(Rhs);
-      A.sw(V, static_cast<int32_t>(slotOffset(E.VarSlot)), Fp);
-      releaseTemp(V);
+      evalEarlyInto(E.VarSlot, Rhs);
     } else {
       LateReg V = evalLate(Rhs);
       bindLateSlot(E.VarSlot, V);
@@ -1597,13 +1735,10 @@ void FnCompiler::genTail(const Expr &E) {
             A.li(At, static_cast<int32_t>(Arm->Con->Tag));
             A.bne(Tag, At, Next);
           }
-          for (size_t FI = 0; FI < Arm->FieldSlots.size(); ++FI) {
-            if (Arm->FieldSlots[FI] == ~0u)
-              continue;
-            A.lw(At, static_cast<int32_t>(4 + 4 * FI), Scrut);
-            A.sw(At, static_cast<int32_t>(slotOffset(Arm->FieldSlots[FI])),
-                 Fp);
-          }
+          for (size_t FI = 0; FI < Arm->FieldSlots.size(); ++FI)
+            if (Arm->FieldSlots[FI] != ~0u)
+              loadEarlyField(Arm->FieldSlots[FI],
+                             static_cast<int32_t>(4 + 4 * FI), Scrut);
           break;
         case CaseArm::PatKind::IntLit:
           if (Arm->IntValue == 0) {
@@ -1614,7 +1749,7 @@ void FnCompiler::genTail(const Expr &E) {
           }
           break;
         case CaseArm::PatKind::Var:
-          A.sw(Scrut, static_cast<int32_t>(slotOffset(Arm->VarSlot)), Fp);
+          storeEarly(Arm->VarSlot, Scrut);
           HasCatchAll = true;
           break;
         case CaseArm::PatKind::Wild:
@@ -1798,23 +1933,7 @@ void FnCompiler::genTail(const Expr &E) {
             releaseTemp(R);
         }
         if (!NeedsBodyRecursion) {
-          // Loop strategy: store the new early arguments and jump back.
-          // An argument passed through in its own parameter position is
-          // skipped outright — its slot already holds the right value,
-          // and every other argument is evaluated before any slot is
-          // stored, so the skip cannot move a read past a write.
-          std::vector<std::pair<size_t, Reg>> NewEarly;
-          for (size_t I = 0; I < KE; ++I) {
-            const Expr &AE = *E.Kids[I];
-            if (AE.K == Expr::Kind::Var && AE.VarSlot == F.Groups[0][I].Slot)
-              continue;
-            NewEarly.push_back({I, evalPlain(AE)});
-          }
-          for (auto &[I, R] : NewEarly)
-            A.sw(R, static_cast<int32_t>(slotOffset(F.Groups[0][I].Slot)),
-                 Fp);
-          for (auto &[I, R] : NewEarly)
-            releaseTemp(R);
+          emitLoopUpdate(E);
           flushCp();
           A.j(BodyStart);
           return;
@@ -1861,7 +1980,11 @@ void FnCompiler::genTail(const Expr &E) {
       evalArgsToStage(E, 0, KE);
       spillTempsForCall();
       loadStagedArgsIntoRegs(KE, 0);
-      A.jal(M.GenLabels.at(Callee));
+      // Nested entry, when the program has one: this generator's own
+      // flush covers the callee's code.
+      auto Nested = M.NestedGenLabels.find(Callee);
+      A.jal(Nested != M.NestedGenLabels.end() ? Nested->second
+                                               : M.GenLabels.at(Callee));
       A.addiu(Sp, Sp, static_cast<int32_t>(4 * KE));
       reloadTempsAfterCall();
       patchJumpHoleToReg(Hole, V0);
@@ -1890,11 +2013,61 @@ void FnCompiler::genTail(const Expr &E) {
   emitLateReturn(R);
 }
 
+void FnCompiler::emitLoopUpdate(const Expr &E) {
+  // Loop strategy of an inlined self tail call: assign the new early
+  // arguments and jump back. An argument passed through in its own
+  // parameter position is skipped outright. The others are evaluated
+  // before any parameter is assigned, except that an argument is computed
+  // straight into its parameter's register when no other argument reads
+  // that parameter (the counter bump `i + 1` becomes one addiu).
+  const auto &Params = F.Groups[0];
+  std::vector<size_t> Changed;
+  for (size_t I = 0; I < Params.size(); ++I) {
+    const Expr &AE = *E.Kids[I];
+    if (!(AE.K == Expr::Kind::Var && AE.VarSlot == Params[I].Slot))
+      Changed.push_back(I);
+  }
+  std::vector<std::pair<size_t, Reg>> Vals;
+  for (size_t I : Changed) {
+    Reg Hint = earlyRegOf(Params[I].Slot);
+    for (size_t J : Changed)
+      if (J != I && earlyUses(*E.Kids[J]).count(Params[I].Slot))
+        Hint = Zero;
+    Vals.push_back({I, evalPlain(*E.Kids[I], Hint)});
+  }
+  // A borrowed register that another assignment overwrites is read first.
+  for (auto &[I, R] : Vals)
+    for (size_t J : Changed)
+      if (J != I && !isTemp(R) && R == earlyRegOf(Params[J].Slot)) {
+        Reg T = allocTemp(E.Loc);
+        A.move(T, R);
+        R = T;
+      }
+  for (auto &[I, R] : Vals) {
+    storeEarly(Params[I].Slot, R);
+    releaseTemp(R);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Generator skeleton: memoization, alignment, flush
 //===----------------------------------------------------------------------===//
 
-void FnCompiler::emitMemoPrologue() {
+Reg FnCompiler::memoKeyReg(size_t J) {
+  // The first four early keys are still live in $a0..$a3 on the memo
+  // path: the prologue stored copies into the frame without clobbering
+  // them, and nothing up to the miss path's end writes an $a register.
+  // Reading them directly saves a load per key on every generator call.
+  if (J < 4)
+    return static_cast<Reg>(A0 + J);
+  A.lw(T8, static_cast<int32_t>(slotOffset(F.Groups[0][J].Slot)), Fp);
+  return T8;
+}
+
+FnCompiler::MemoRegs FnCompiler::emitMemoLookup() {
+  MemoRegs R;
+  if (!M.Opts.Memoization)
+    return R;
   size_t K = F.Groups[0].size();
   uint32_t TableAddr = M.MemoAddrs.at(&F);
   const uint32_t EntryBytes = static_cast<uint32_t>(4 * (K + 1));
@@ -1909,84 +2082,74 @@ void FnCompiler::emitMemoPrologue() {
   // specialization n times in a row). The paper used a per-procedure
   // linear log (section 3.5) and reported memoization "can be expensive";
   // hashing keeps management cost out of the measured kernels.
-  Reg TT = Zero, TC = Zero, TP = Zero;
-  // The first four early keys are still live in $a0..$a3 here: the
-  // prologue stored copies into the frame without clobbering them, and
-  // nothing in the lookup below writes an $a register. Reading them
-  // directly saves a load per key on every generator invocation.
-  auto keyReg = [&](size_t J) -> Reg {
-    if (J < 4)
-      return static_cast<Reg>(A0 + J);
-    A.lw(T8, static_cast<int32_t>(slotOffset(F.Groups[0][J].Slot)), Fp);
-    return T8;
-  };
-  if (M.Opts.Memoization) {
-    TT = allocTemp(F.Loc);
-    TC = allocTemp(F.Loc);
-    TP = allocTemp(F.Loc);
-    Reg TH = allocTemp(F.Loc);
-    A.li(TT, static_cast<int32_t>(TableAddr));
-    Label HashProbe = A.newLabel();
-    A.lw(TP, 4, TT); // last-hit entry
-    A.beqz(TP, HashProbe);
-    for (size_t J = 0; J < K; ++J) {
-      A.lw(At, static_cast<int32_t>(4 * J), TP);
-      A.bne(At, keyReg(J), HashProbe);
-    }
-    A.lw(V0, static_cast<int32_t>(4 * K), TP);
-    A.j(GenRetLabel);
+  Reg TT = allocTemp(F.Loc);
+  Reg TC = allocTemp(F.Loc);
+  Reg TP = allocTemp(F.Loc);
+  Reg TH = allocTemp(F.Loc);
+  A.li(TT, static_cast<int32_t>(TableAddr));
+  Label HashProbe = A.newLabel();
+  A.lw(TP, 4, TT); // last-hit entry
+  A.beqz(TP, HashProbe);
+  for (size_t J = 0; J < K; ++J) {
+    A.lw(At, static_cast<int32_t>(4 * J), TP);
+    A.bne(At, memoKeyReg(J), HashProbe);
+  }
+  A.lw(V0, static_cast<int32_t>(4 * K), TP);
+  A.j(GenRetLabel);
 
-    // Hash on the first two keys (the distinguishing pointer and, when
-    // present, the program-counter-style second key; the >>4 folds away
-    // heap alignment). Probing compares all keys; rare collisions on the
-    // remaining keys only lengthen a chain.
-    A.bind(HashProbe);
-    if (K == 0) {
-      // No early parameters: a single specialization in slot 0.
-      A.li(TH, 0);
-    } else {
-      A.srl(TH, keyReg(0), 4);
-      if (K > 1)
-        A.addu(TH, TH, keyReg(1));
-      A.andi(TH, TH, Mask);
-    }
-
-    Label Probe = A.newLabel(), NextSlot = A.newLabel(), Miss = A.newLabel();
-    A.bind(Probe);
-    if ((EntryBytes & (EntryBytes - 1)) == 0) {
-      // Power-of-two entry size (0, 1, or 3 keys): shift instead of li+mul.
-      A.sll(TP, TH, static_cast<unsigned>(std::countr_zero(EntryBytes)));
-    } else {
-      A.li(At, static_cast<int32_t>(EntryBytes));
-      A.mul(TP, TH, At);
-    }
-    A.addu(TP, TP, TT);
-    A.addiu(TP, TP, 8);
-    A.lw(At, static_cast<int32_t>(4 * K), TP); // cached address
-    A.beqz(At, Miss);                          // empty slot: insert here
-    for (size_t J = 0; J < K; ++J) {
-      A.lw(At, static_cast<int32_t>(4 * J), TP);
-      A.bne(At, keyReg(J), NextSlot);
-    }
-    A.sw(TP, 4, TT); // refresh the last-hit cache
-    A.lw(V0, static_cast<int32_t>(4 * K), TP);
-    A.j(GenRetLabel);
-    A.bind(NextSlot);
-    A.addiu(TH, TH, 1);
+  // Hash on the first two keys (the distinguishing pointer and, when
+  // present, the program-counter-style second key; the >>4 folds away
+  // heap alignment). Probing compares all keys; rare collisions on the
+  // remaining keys only lengthen a chain.
+  A.bind(HashProbe);
+  if (K == 0) {
+    // No early parameters: a single specialization in slot 0.
+    A.li(TH, 0);
+  } else {
+    A.srl(TH, memoKeyReg(0), 4);
+    if (K > 1)
+      A.addu(TH, TH, memoKeyReg(1));
     A.andi(TH, TH, Mask);
-    A.j(Probe);
-
-    // Keep the table at most half full so probe chains stay short.
-    A.bind(Miss);
-    Label CapOk = A.newLabel();
-    A.lw(TC, 0, TT);
-    A.li(At, static_cast<int32_t>(layout::MemoCapacity / 2));
-    A.bne(TC, At, CapOk);
-    A.trap(TrapCode::MemoFull);
-    A.bind(CapOk);
-    releaseTemp(TH);
   }
 
+  Label Probe = A.newLabel(), NextSlot = A.newLabel(), Miss = A.newLabel();
+  A.bind(Probe);
+  if ((EntryBytes & (EntryBytes - 1)) == 0) {
+    // Power-of-two entry size (0, 1, or 3 keys): shift instead of li+mul.
+    A.sll(TP, TH, static_cast<unsigned>(std::countr_zero(EntryBytes)));
+  } else {
+    A.li(At, static_cast<int32_t>(EntryBytes));
+    A.mul(TP, TH, At);
+  }
+  A.addu(TP, TP, TT);
+  A.addiu(TP, TP, 8);
+  A.lw(At, static_cast<int32_t>(4 * K), TP); // cached address
+  A.beqz(At, Miss);                          // empty slot: insert here
+  for (size_t J = 0; J < K; ++J) {
+    A.lw(At, static_cast<int32_t>(4 * J), TP);
+    A.bne(At, memoKeyReg(J), NextSlot);
+  }
+  A.sw(TP, 4, TT); // refresh the last-hit cache
+  A.lw(V0, static_cast<int32_t>(4 * K), TP);
+  A.j(GenRetLabel);
+  A.bind(NextSlot);
+  A.addiu(TH, TH, 1);
+  A.andi(TH, TH, Mask);
+  A.j(Probe);
+
+  // Keep the table at most half full so probe chains stay short.
+  A.bind(Miss);
+  Label CapOk = A.newLabel();
+  A.lw(TC, 0, TT);
+  A.li(At, static_cast<int32_t>(layout::MemoCapacity / 2));
+  A.bne(TC, At, CapOk);
+  A.trap(TrapCode::MemoFull);
+  A.bind(CapOk);
+  releaseTemp(TH);
+  return {TT, TC, TP};
+}
+
+void FnCompiler::emitMissPath(MemoRegs R) {
   // Guard on the miss path only, after the lookup (memo hits must keep
   // succeeding under code-space pressure) and before the in-progress entry
   // is inserted (so a trap here leaves the memo table consistent and the
@@ -2000,21 +2163,29 @@ void FnCompiler::emitMemoPrologue() {
     A.and_(Cp, Cp, At);
   }
 
+  size_t K = F.Groups[0].size();
   if (M.Opts.Memoization) {
     // Insert the in-progress entry before generating the body so cyclic
     // specializations terminate (paper section 3.5).
     for (size_t J = 0; J < K; ++J)
-      A.sw(keyReg(J), static_cast<int32_t>(4 * J), TP);
-    A.sw(Cp, static_cast<int32_t>(4 * K), TP);
-    A.sw(TP, 4, TT); // new entry becomes the last-hit cache
-    A.addiu(TC, TC, 1);
-    A.sw(TC, 0, TT);
-    releaseTemp(TP);
-    releaseTemp(TC);
-    releaseTemp(TT);
+      A.sw(memoKeyReg(J), static_cast<int32_t>(4 * J), R.Entry);
+    A.sw(Cp, static_cast<int32_t>(4 * K), R.Entry);
+    A.sw(R.Entry, 4, R.Table); // new entry becomes the last-hit cache
+    A.addiu(R.Count, R.Count, 1);
+    A.sw(R.Count, 0, R.Table);
+    releaseTemp(R.Entry);
+    releaseTemp(R.Count);
+    releaseTemp(R.Table);
   }
 
   A.sw(Cp, static_cast<int32_t>(Cp0Slot), Fp);
+  // Early registers are callee-saved: generated code keeps late values in
+  // $s registers across lazy generator calls.
+  for (unsigned I = 0; I < NumEarlySRegs; ++I)
+    A.sw(static_cast<Reg>(S0 + I), static_cast<int32_t>(SaveOff + 4 * I), Fp);
+  for (size_t J = 0; J < K; ++J)
+    if (Reg S = earlyRegOf(F.Groups[0][J].Slot); S != Zero)
+      A.move(S, memoKeyReg(J));
   if (GenNonLeaf)
     emitGeneratedPrologue();
   flushCp();
@@ -2023,9 +2194,19 @@ void FnCompiler::emitMemoPrologue() {
 void FnCompiler::emitGeneratorFinish() {
   flushCp();
   A.lw(T8, static_cast<int32_t>(Cp0Slot), Fp);
+  // One I-cache flush per outermost generator call: a nested generator's
+  // code lies inside the range its outermost caller flushes.
+  Label FlushDone = A.newLabel();
+  if (HasNestedEntry) {
+    A.lw(At, static_cast<int32_t>(NestedOff), Fp);
+    A.bnez(At, FlushDone);
+  }
   A.subu(T9, Cp, T8);
   A.flush(T8, T9);
+  A.bind(FlushDone);
   A.move(V0, T8);
+  for (unsigned I = 0; I < NumEarlySRegs; ++I)
+    A.lw(static_cast<Reg>(S0 + I), static_cast<int32_t>(SaveOff + 4 * I), Fp);
   A.bind(GenRetLabel);
   emitEpilogue();
 }
@@ -2055,36 +2236,56 @@ void FnCompiler::emitCodeSpaceGuard() {
 void FnCompiler::compileGenerator() {
   BodyStart = A.newLabel();
   GenRetLabel = A.newLabel();
+  MissCommon = A.newLabel();
+
+  emitPrologue();
+  MemoRegs Memo = emitMemoLookup();
+  if (HasNestedEntry)
+    A.sw(Zero, static_cast<int32_t>(NestedOff), Fp);
+  A.bind(MissCommon);
+  emitMissPath(Memo);
 
   if (!NeedsBodyRecursion) {
     // Loop strategy (the paper's design): inlined self tail calls jump
-    // back to the body start after updating the early parameter slots.
-    // Safe because no backpatch hole is live across any such call.
-    emitPrologue();
-    emitMemoPrologue();
+    // back to the body start after updating the early parameters. Safe
+    // because no backpatch hole is live across any such call.
     A.bind(BodyStart);
     emitCodeSpaceGuard();
     genTail(*F.Body);
     emitGeneratorFinish();
-    return;
+  } else {
+    // Recursion strategy: the generator entry performs memo lookup /
+    // insertion, alignment, and the generated prologue, then calls a body
+    // procedure; inlined self tail calls recurse into it, so holes for
+    // enclosing late conditionals stay frame-local and survive unrolling.
+    // The early arguments are still live in $a0.. from entry (the memo
+    // path reads but never writes them), so they pass straight through
+    // to the body procedure.
+    A.jal(BodyStart);
+    emitGeneratorFinish();
+
+    A.bind(BodyStart);
+    emitPrologue();
+    emitCodeSpaceGuard();
+    genTail(*F.Body);
+    flushCp();
+    emitEpilogue();
   }
 
-  // Recursion strategy: the generator entry performs memo lookup /
-  // insertion, alignment, and the generated prologue, then calls a body
-  // procedure; inlined self tail calls recurse into it, so holes for
-  // enclosing late conditionals stay frame-local and survive unrolling.
-  emitPrologue();
-  emitMemoPrologue();
-  // The early arguments are still live in $a0.. from entry (the memo
-  // prologue reads but never writes them), so they pass straight through
-  // to the body procedure.
-  A.jal(BodyStart);
-  emitGeneratorFinish();
-
-  A.bind(BodyStart);
-  emitPrologue();
-  emitCodeSpaceGuard();
-  genTail(*F.Body);
-  flushCp();
-  emitEpilogue();
+  if (HasNestedEntry) {
+    // Entry for eager calls from generators: the same prologue and memo
+    // lookup, then the shared miss path with the frame marked nested.
+    A.bind(M.NestedGenLabels.at(&F));
+    emitPrologue();
+    MemoRegs Nested = emitMemoLookup();
+    assert(Nested.Table == Memo.Table && Nested.Count == Memo.Count &&
+           Nested.Entry == Memo.Entry && "miss path shares memo registers");
+    A.sw(Fp, static_cast<int32_t>(NestedOff), Fp); // nonzero: nested
+    A.j(MissCommon);
+    if (M.Opts.Memoization) {
+      releaseTemp(Nested.Entry);
+      releaseTemp(Nested.Count);
+      releaseTemp(Nested.Table);
+    }
+  }
 }

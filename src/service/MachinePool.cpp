@@ -175,7 +175,7 @@ MachinePool::serve(Machine &M, SpecCache &Cache,
     // Profile gate: a cold key of an entry point whose observed reuse is
     // below the threshold is served through the Plain image (which
     // collapses currying, so early+late go as one argument list) instead
-    // of paying ~9 instrs/instr generator cost that will never amortize.
+    // of paying ~8 instrs/instr generator cost that will never amortize.
     // The sighting is recorded so the key's second occurrence — proof of
     // reuse — specializes normally.
     if (Opts.EnableCache && Opts.Cache.ProfileGate && M.hasPlainFallback() &&

@@ -9,6 +9,11 @@
 // any divergence between early/late splitting, residualization, run-time
 // instruction selection, or emitted control flow shows up as a mismatch.
 //
+// Every suite also runs the deferred backend with template-burst emission
+// off. That changes only the instructions the generators run to store
+// words, so the result, the traps and the dynamic code segment must be
+// identical, with no coherence violation.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Fabius.h"
@@ -19,6 +24,7 @@
 
 #include <bit>
 #include <functional>
+#include <optional>
 
 using namespace fab;
 
@@ -116,12 +122,42 @@ Outcome runInterp(const Compilation &C, const std::vector<uint32_t> &Args) {
   return {false, *V};
 }
 
-Outcome runMachine(const Compilation &C, const std::vector<uint32_t> &Args) {
+/// One run on the simulator: its outcome plus what the generators left.
+struct VmRun {
+  Outcome Out;
+  std::vector<uint32_t> DynWords; ///< the dynamic code segment
+  uint64_t CoherenceViolations = 0;
+};
+
+VmRun finishRun(Machine &M, const ExecResult &R) {
+  VmRun Run;
+  Run.Out = R.ok() ? Outcome{false, R.V0} : Outcome{true, 0};
+  for (uint32_t Off = 0; Off < M.codeSpaceUsed(); Off += 4)
+    Run.DynWords.push_back(M.vm().load32(layout::DynCodeBase + Off));
+  Run.CoherenceViolations = M.vm().coherenceViolations();
+  return Run;
+}
+
+VmRun runVm(const Compilation &C, const std::vector<uint32_t> &Args) {
   Machine M(C.Unit);
-  ExecResult R = M.call("f", Args);
-  if (!R.ok())
-    return {true, 0};
-  return {false, R.V0};
+  return finishRun(M, M.call("f", Args));
+}
+
+std::optional<Compilation> compileTemplatesOff(const std::string &Src,
+                                               DiagnosticEngine &D) {
+  FabiusOptions Opts = FabiusOptions::deferred();
+  Opts.Backend.EmitTemplates = false;
+  return compile(Src, Opts, D);
+}
+
+/// Deferred with templates on against off: same outcome, byte-identical
+/// dynamic segment, no coherence violation on either side.
+void expectTemplatesOffAgrees(const VmRun &On, const VmRun &Off,
+                              const std::string &Src) {
+  EXPECT_EQ(On.Out, Off.Out) << Src << "\ntemplates on vs off";
+  EXPECT_EQ(On.DynWords, Off.DynWords) << Src << "\ndynamic segment";
+  EXPECT_EQ(On.CoherenceViolations, 0u) << Src;
+  EXPECT_EQ(Off.CoherenceViolations, 0u) << Src;
 }
 
 } // namespace
@@ -136,10 +172,12 @@ TEST_P(FuzzStagedScalar, ThreeWayAgreement) {
       G.gen(4, {"a", "b", "c", "d"});
   std::string Src = "fun f (a : int, b : int) (c : int, d : int) = " + Body;
 
-  DiagnosticEngine D1, D2;
+  DiagnosticEngine D1, D2, D3;
   auto Plain = compile(Src, FabiusOptions::plain(), D1);
   auto Def = compile(Src, FabiusOptions::deferred(), D2);
-  ASSERT_TRUE(Plain && Def) << Src << "\n" << D1.str() << D2.str();
+  auto DefOff = compileTemplatesOff(Src, D3);
+  ASSERT_TRUE(Plain && Def && DefOff)
+      << Src << "\n" << D1.str() << D2.str() << D3.str();
 
   const uint32_t Interesting[] = {0,       1,          0xFFFFFFFFu,
                                   32767,   0xFFFF8000u, 0x7FFFFFFFu,
@@ -151,14 +189,15 @@ TEST_P(FuzzStagedScalar, ThreeWayAgreement) {
                          ? Interesting[R.below(8)]
                          : static_cast<uint32_t>(R.next()));
     Outcome OI = runInterp(*Plain, Args);
-    Outcome OP = runMachine(*Plain, Args);
-    Outcome OD = runMachine(*Def, Args);
+    Outcome OP = runVm(*Plain, Args).Out;
+    VmRun RD = runVm(*Def, Args);
     EXPECT_EQ(OI, OP) << Src << "\nargs: " << Args[0] << " " << Args[1]
                       << " " << Args[2] << " " << Args[3]
                       << "\ninterp vs plain";
-    EXPECT_EQ(OI, OD) << Src << "\nargs: " << Args[0] << " " << Args[1]
-                      << " " << Args[2] << " " << Args[3]
-                      << "\ninterp vs deferred";
+    EXPECT_EQ(OI, RD.Out) << Src << "\nargs: " << Args[0] << " " << Args[1]
+                          << " " << Args[2] << " " << Args[3]
+                          << "\ninterp vs deferred";
+    expectTemplatesOffAgrees(RD, runVm(*DefOff, Args), Src);
   }
 }
 
@@ -179,10 +218,12 @@ TEST_P(FuzzStagedVector, ThreeWayAgreement) {
   std::string Src =
       "fun f (v : int vector, i : int) (w : int vector, x : int) = " + Body;
 
-  DiagnosticEngine D1, D2;
+  DiagnosticEngine D1, D2, D3;
   auto Plain = compile(Src, FabiusOptions::plain(), D1);
   auto Def = compile(Src, FabiusOptions::deferred(), D2);
-  ASSERT_TRUE(Plain && Def) << Src << "\n" << D1.str() << D2.str();
+  auto DefOff = compileTemplatesOff(Src, D3);
+  ASSERT_TRUE(Plain && Def && DefOff)
+      << Src << "\n" << D1.str() << D2.str() << D3.str();
 
   for (int Trial = 0; Trial < 5; ++Trial) {
     // Vector lengths 5..8: AND-masked indices (0..7) go out of bounds
@@ -207,14 +248,14 @@ TEST_P(FuzzStagedVector, ThreeWayAgreement) {
       std::vector<int32_t> SV(VV.begin(), VV.end()), SW(WW.begin(), WW.end());
       uint32_t MV = M.heap().vector(SV);
       uint32_t MW = M.heap().vector(SW);
-      ExecResult RR = M.call("f", {MV, IArg, MW, XArg});
-      return RR.ok() ? Outcome{false, RR.V0} : Outcome{true, 0};
+      return finishRun(M, M.call("f", {MV, IArg, MW, XArg}));
     };
-    Outcome OP = RunVm(*Plain);
-    Outcome OD = RunVm(*Def);
+    Outcome OP = RunVm(*Plain).Out;
+    VmRun RD = RunVm(*Def);
     EXPECT_EQ(OI, OP) << Src << "\ninterp vs plain (trial " << Trial << ")";
-    EXPECT_EQ(OI, OD) << Src << "\ninterp vs deferred (trial " << Trial
-                      << ")";
+    EXPECT_EQ(OI, RD.Out) << Src << "\ninterp vs deferred (trial " << Trial
+                          << ")";
+    expectTemplatesOffAgrees(RD, RunVm(*DefOff), Src);
   }
 }
 
@@ -235,10 +276,12 @@ TEST_P(FuzzRecursive, ThreeWayAgreement) {
       "  case l of Nil => acc\n"
       "  | Cons (x, rest) => fold rest (" + Combine + ", z)";
 
-  DiagnosticEngine D1, D2;
+  DiagnosticEngine D1, D2, D3;
   auto Plain = compile(Src, FabiusOptions::plain(), D1);
   auto Def = compile(Src, FabiusOptions::deferred(), D2);
-  ASSERT_TRUE(Plain && Def) << Src << "\n" << D1.str() << D2.str();
+  auto DefOff = compileTemplatesOff(Src, D3);
+  ASSERT_TRUE(Plain && Def && DefOff)
+      << Src << "\n" << D1.str() << D2.str() << D3.str();
 
   for (int Trial = 0; Trial < 4; ++Trial) {
     size_t Len = R.below(12);
@@ -260,11 +303,12 @@ TEST_P(FuzzRecursive, ThreeWayAgreement) {
       uint32_t L = M.heap().cell(0, {});
       for (size_t I = Elems.size(); I-- > 0;)
         L = M.heap().cell(1, {Elems[I], L});
-      ExecResult RR = M.call("fold", {L, Acc, Z});
-      return RR.ok() ? Outcome{false, RR.V0} : Outcome{true, 0};
+      return finishRun(M, M.call("fold", {L, Acc, Z}));
     };
-    EXPECT_EQ(OI, RunVm(*Plain)) << Src << "\ninterp vs plain";
-    EXPECT_EQ(OI, RunVm(*Def)) << Src << "\ninterp vs deferred";
+    EXPECT_EQ(OI, RunVm(*Plain).Out) << Src << "\ninterp vs plain";
+    VmRun RD = RunVm(*Def);
+    EXPECT_EQ(OI, RD.Out) << Src << "\ninterp vs deferred";
+    expectTemplatesOffAgrees(RD, RunVm(*DefOff), Src);
   }
 }
 
@@ -305,10 +349,12 @@ TEST_P(FuzzStagedReal, ThreeWayAgreement) {
   std::string Src = "fun f (a : real, b : real) (x : real, y : real) = " +
                     Gen(4);
 
-  DiagnosticEngine D1, D2;
+  DiagnosticEngine D1, D2, D3;
   auto Plain = compile(Src, FabiusOptions::plain(), D1);
   auto Def = compile(Src, FabiusOptions::deferred(), D2);
-  ASSERT_TRUE(Plain && Def) << Src << "\n" << D1.str() << D2.str();
+  auto DefOff = compileTemplatesOff(Src, D3);
+  ASSERT_TRUE(Plain && Def && DefOff)
+      << Src << "\n" << D1.str() << D2.str() << D3.str();
 
   for (int Trial = 0; Trial < 5; ++Trial) {
     std::vector<uint32_t> Args;
@@ -319,10 +365,11 @@ TEST_P(FuzzStagedReal, ThreeWayAgreement) {
       Args.push_back(std::bit_cast<uint32_t>(V));
     }
     Outcome OI = runInterp(*Plain, Args);
-    Outcome OP = runMachine(*Plain, Args);
-    Outcome OD = runMachine(*Def, Args);
+    Outcome OP = runVm(*Plain, Args).Out;
+    VmRun RD = runVm(*Def, Args);
     EXPECT_EQ(OI, OP) << Src << "\ninterp vs plain";
-    EXPECT_EQ(OI, OD) << Src << "\ninterp vs deferred";
+    EXPECT_EQ(OI, RD.Out) << Src << "\ninterp vs deferred";
+    expectTemplatesOffAgrees(RD, runVm(*DefOff, Args), Src);
   }
 }
 
