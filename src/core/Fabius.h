@@ -105,10 +105,6 @@ struct CodeSpacePolicy {
   unsigned MaxGeneratorFaults = 3;
 };
 
-// RecoveryStats and SpecializationStats moved to telemetry/Stats.h
-// (included via telemetry/Telemetry.h above) so the telemetry layer can
-// aggregate them; both names are still exported from fab unchanged.
-
 /// Prints \p E and exits; shared by every *OrDie convenience.
 [[noreturn]] void dieOnError(const FabError &E);
 

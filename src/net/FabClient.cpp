@@ -331,7 +331,7 @@ bool FabClientPool::ping() {
   return Any;
 }
 
-bool FabClientPool::stats(StatsPairs &Out) {
+bool FabClientPool::stats(MetricList &Out) {
   for (FabClient &C : Slots)
     if (C.connected())
       return C.stats(Out);
@@ -345,7 +345,7 @@ uint64_t FabClientPool::repliesReceived() const {
   return N;
 }
 
-bool FabClient::stats(StatsPairs &Out) {
+bool FabClient::stats(MetricList &Out) {
   if (!connected())
     return false;
   uint64_t Tag = sendFrame(encodeStats(NextTag));

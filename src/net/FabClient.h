@@ -82,7 +82,7 @@ public:
   bool ping();
 
   /// Fetches the server's self-describing counter pairs.
-  bool stats(StatsPairs &Out);
+  bool stats(MetricList &Out);
 
   /// Frames received over the connection's lifetime (RTT bookkeeping in
   /// bench_wire).
@@ -169,7 +169,7 @@ public:
 
   /// Fetches counters over one connected slot (the server's stats are
   /// global, any slot sees the same totals).
-  bool stats(StatsPairs &Out);
+  bool stats(MetricList &Out);
 
   /// Sum of frames received across all slots.
   uint64_t repliesReceived() const;

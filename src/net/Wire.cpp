@@ -2,6 +2,7 @@
 
 #include "net/Wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace fab;
@@ -136,12 +137,13 @@ std::vector<uint8_t> fab::net::encodeError(uint64_t Tag, uint16_t Code,
 }
 
 std::vector<uint8_t> fab::net::encodeStatsReply(uint64_t Tag,
-                                                const StatsPairs &Pairs) {
+                                                const MetricList &Pairs) {
+  const size_t N = std::min<size_t>(Pairs.size(), MaxStatsPairs);
   std::vector<uint8_t> P;
-  putU32(P, static_cast<uint32_t>(Pairs.size()));
-  for (const auto &[Name, V] : Pairs) {
-    putStr(P, Name);
-    putU64(P, V);
+  putU32(P, static_cast<uint32_t>(N));
+  for (size_t I = 0; I < N; ++I) {
+    putStr(P, Pairs[I].first);
+    putU64(P, Pairs[I].second);
   }
   return encodeFrame(FrameType::StatsReply, Tag, P);
 }
@@ -343,10 +345,10 @@ bool fab::net::decodeError(const Frame &F, ErrorBody &Out) {
          C.str(Out.Message) && C.done();
 }
 
-bool fab::net::decodeStatsReply(const Frame &F, StatsPairs &Out) {
+bool fab::net::decodeStatsReply(const Frame &F, MetricList &Out) {
   Cursor C(F.Payload.data(), F.Payload.size());
   uint32_t N;
-  if (!C.u32(N) || N > 4096)
+  if (!C.u32(N) || N > MaxStatsPairs)
     return false;
   Out.clear();
   Out.reserve(N);

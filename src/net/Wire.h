@@ -32,6 +32,7 @@
 
 #include "core/FabError.h"
 #include "service/SpecCache.h"
+#include "telemetry/Telemetry.h"
 
 #include <cstdint>
 #include <string>
@@ -54,6 +55,11 @@ constexpr uint32_t DefaultMaxFrameBytes = 16u << 20;
 constexpr uint32_t MaxValuesPerList = 4096;
 constexpr uint32_t MaxVecElems = 1u << 20;
 constexpr uint32_t MaxStringBytes = 65535;
+/// Most name/value pairs in one StatsReply. The encoder sends at most
+/// this many (the first ones of TelemetrySnapshot::metrics(), whose
+/// per-worker, per-shard and per-entry rows come last) and the decoder
+/// refuses more, so a server never sends a reply its clients refuse.
+constexpr uint32_t MaxStatsPairs = 4096;
 
 /// Frame types. Requests are < 0x80, replies have the high bit set.
 /// Values are wire ABI: never renumber, add at the end.
@@ -125,8 +131,6 @@ struct ErrorBody {
   std::string Message;
 };
 
-using StatsPairs = std::vector<std::pair<std::string, uint64_t>>;
-
 //===----------------------------------------------------------------------===//
 // Encoding (append-to-buffer primitives + whole-frame builders)
 //===----------------------------------------------------------------------===//
@@ -152,7 +156,7 @@ std::vector<uint8_t> encodeResult(uint64_t Tag, int32_t V);
 std::vector<uint8_t> encodeError(uint64_t Tag, uint16_t Code,
                                  uint32_t RetryAfterUs,
                                  const std::string &Message);
-std::vector<uint8_t> encodeStatsReply(uint64_t Tag, const StatsPairs &Pairs);
+std::vector<uint8_t> encodeStatsReply(uint64_t Tag, const MetricList &Pairs);
 std::vector<uint8_t> encodeInvalidateReply(uint64_t Tag, uint64_t Dropped);
 std::vector<uint8_t> encodePong(uint64_t Tag);
 
@@ -171,7 +175,7 @@ bool decodeSubmit(const Frame &F, SubmitBody &Out); ///< Submit and Call
 bool decodeInvalidate(const Frame &F, std::string &Fn);
 bool decodeResult(const Frame &F, int32_t &V);
 bool decodeError(const Frame &F, ErrorBody &Out);
-bool decodeStatsReply(const Frame &F, StatsPairs &Out);
+bool decodeStatsReply(const Frame &F, MetricList &Out);
 bool decodeInvalidateReply(const Frame &F, uint64_t &Dropped);
 
 /// Incremental frame decoder over a byte stream. Both endpoints own one

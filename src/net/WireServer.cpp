@@ -613,47 +613,8 @@ void WireServer::handleFrame(const ConnPtr &C, Frame &&F) {
       std::lock_guard<std::mutex> L(C->StatsMutex);
       C->Stats.StatsRequests++;
     }
-    TelemetrySnapshot T = telemetry();
-    StatsPairs P;
-    P.reserve(38);
-    P.emplace_back("workers", T.Workers);
-    P.emplace_back("submitted", T.Submitted);
-    P.emplace_back("served", T.Served);
-    P.emplace_back("errors", T.Errors);
-    P.emplace_back("rejected", T.Rejected);
-    P.emplace_back("coalesced", T.Coalesced);
-    P.emplace_back("queue_high_water", T.QueueHighWater);
-    P.emplace_back("shed", T.Overload.Shed);
-    P.emplace_back("deadline_misses", T.Overload.DeadlineMisses);
-    P.emplace_back("retried", T.Overload.Retried);
-    P.emplace_back("breaker_opens", T.Overload.BreakerOpens);
-    P.emplace_back("breakers_open_now", T.BreakersOpen);
-    P.emplace_back("cache_hits", T.Cache.Hits);
-    P.emplace_back("cache_misses", T.Cache.Misses);
-    P.emplace_back("cache_invalidated", T.Cache.Invalidated);
-    P.emplace_back("memo_generator_runs", T.Memo.GeneratorRuns);
-    P.emplace_back("memo_hits", T.Memo.MemoHits);
-    P.emplace_back("gen_executed", T.Memo.GenExecuted);
-    P.emplace_back("gen_dyn_words", T.Memo.GenDynWords);
-    P.emplace_back("net_connections", T.Net.Connections);
-    P.emplace_back("net_frames_in", T.Net.FramesIn);
-    P.emplace_back("net_frames_out", T.Net.FramesOut);
-    P.emplace_back("net_bytes_in", T.Net.BytesIn);
-    P.emplace_back("net_bytes_out", T.Net.BytesOut);
-    P.emplace_back("net_read_batches", T.Net.ReadBatches);
-    P.emplace_back("net_batched_frames", T.Net.BatchedFrames);
-    P.emplace_back("net_errors_out", T.Net.ErrorsOut);
-    P.emplace_back("net_protocol_errors", T.Net.ProtocolErrors);
-    P.emplace_back("net_pipeline_high_water", T.Net.PipelineHighWater);
-    P.emplace_back("net_cap_rejects", T.Net.CapRejects);
-    P.emplace_back("reactor_shards", shards());
-    P.emplace_back("reactor_reuseport", usingReusePort() ? 1 : 0);
-    P.emplace_back("reactor_open_conns", T.Reactor.OpenConns);
-    P.emplace_back("reactor_peak_conns", T.Reactor.PeakConns);
-    P.emplace_back("reactor_idle_closed", T.Reactor.IdleClosed);
-    P.emplace_back("reactor_accept_rejects", T.Reactor.AcceptRejects);
-    appendOut(C, encodeStatsReply(Tag, P), /*IsFrame=*/true,
-              /*IsError=*/false);
+    appendOut(C, encodeStatsReply(Tag, telemetry().metrics()),
+              /*IsFrame=*/true, /*IsError=*/false);
     return;
   }
   case FrameType::Ping:

@@ -115,10 +115,6 @@ struct SpecKeyHash {
   }
 };
 
-// SpecCacheStats moved to telemetry/Stats.h (included above) so the
-// telemetry layer can aggregate it; fab::SpecCacheStats is still found
-// here unqualified through the enclosing namespace.
-
 /// The profile gate's reuse threshold (calls per specialization): see
 /// CachePolicy::ProfileGate.
 constexpr double ProfileMinReuse = 1.5;

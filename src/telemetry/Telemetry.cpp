@@ -157,189 +157,195 @@ TelemetrySnapshot &TelemetrySnapshot::operator+=(const TelemetrySnapshot &R) {
 }
 
 //===----------------------------------------------------------------------===//
-// Text exporter
+// Metric list and its text exporters
 //===----------------------------------------------------------------------===//
 
-void TelemetrySnapshot::writeText(std::ostream &OS,
-                                  const std::string &Prefix) const {
-  auto Line = [&](const char *Path, uint64_t V) {
-    OS << Prefix << '.' << Path << ' ' << V << '\n';
-  };
-  Line("vm.executed", Vm.Executed);
-  Line("vm.executed_static", Vm.ExecutedStatic);
-  Line("vm.executed_dynamic", Vm.ExecutedDynamic);
-  Line("vm.loads", Vm.Loads);
-  Line("vm.stores", Vm.Stores);
-  Line("vm.dyn_words_written", Vm.DynWordsWritten);
-  Line("vm.flushes", Vm.Flushes);
-  Line("vm.flushed_bytes", Vm.FlushedBytes);
-  Line("vm.cycles", Vm.Cycles);
-  Line("memo.generator_runs", Memo.GeneratorRuns);
-  Line("memo.hits", Memo.MemoHits);
-  Line("memo.misses", Memo.MemoMisses);
-  Line("memo.gen_executed", Memo.GenExecuted);
-  Line("memo.gen_dyn_words", Memo.GenDynWords);
-  OS << Prefix << ".memo.generator_efficiency " << generatorEfficiency()
-     << '\n';
-  Line("recovery.watermark_resets", Recovery.WatermarkResets);
-  Line("recovery.fault_resets", Recovery.FaultResets);
-  Line("recovery.recovered_retries", Recovery.RecoveredRetries);
-  Line("recovery.generator_faults", Recovery.GeneratorFaults);
-  Line("recovery.plain_fallback_calls", Recovery.PlainFallbackCalls);
-  Line("decode_cache.blocks_built", DecodeCache.BlocksBuilt);
-  Line("decode_cache.block_runs", DecodeCache.BlockRuns);
-  Line("decode_cache.fast_insts", DecodeCache.FastInsts);
-  Line("decode_cache.slow_insts", DecodeCache.SlowInsts);
-  Line("decode_cache.fused_ops", DecodeCache.FusedOps);
-  Line("decode_cache.invalidations", DecodeCache.Invalidations);
-  Line("machine.code_epoch", CodeEpoch);
-  Line("machine.specializations_live", SpecializationsLive);
-  Line("machine.code_space_used", CodeSpaceUsed);
-  Line("machine.degraded", DegradedMachines);
-  Line("trace.recorded", TraceRecorded);
-  Line("trace.dropped", TraceDropped);
-  if (Workers) {
-    Line("server.workers", Workers);
-    Line("server.submitted", Submitted);
-    Line("server.served", Served);
-    Line("server.errors", Errors);
-    Line("server.rejected", Rejected);
-    Line("server.coalesced", Coalesced);
-    Line("server.queue_high_water", QueueHighWater);
-    Line("server.busy_cycles_total", BusyCyclesTotal);
-    Line("server.busy_cycles_max", BusyCyclesMax);
-    Line("server.heap_recycles", HeapRecycles);
-    Line("server.shed", Overload.Shed);
-    Line("server.deadline_misses", Overload.DeadlineMisses);
-    Line("server.retried", Overload.Retried);
-    Line("server.retry_successes", Overload.RetrySuccesses);
-    Line("server.breaker_opens", Overload.BreakerOpens);
-    Line("server.breaker_fallbacks", Overload.BreakerFallbacks);
-    Line("server.breaker_probes", Overload.BreakerProbes);
-    Line("server.breaker_fast_fails", Overload.BreakerFastFails);
-    Line("server.breakers_open", BreakersOpen);
-    Line("server.latency_count", Latency.Count);
-    Line("server.latency_p50_ns", Latency.quantileNs(0.50));
-    Line("server.latency_p99_ns", Latency.quantileNs(0.99));
-    Line("server.latency_max_ns", Latency.MaxNs);
-    Line("cache.hits", Cache.Hits);
-    Line("cache.misses", Cache.Misses);
-    Line("cache.evictions", Cache.Evictions);
-    Line("cache.rehydrations", Cache.Rehydrations);
-    Line("cache.invalidated", Cache.Invalidated);
-    Line("cache.admission_rejects", Cache.AdmissionRejects);
-    Line("cache.admission_admits", Cache.AdmissionAdmits);
-    Line("cache.compactions", Cache.Compactions);
-    Line("cache.compact_kept", Cache.CompactKept);
-    Line("cache.compact_dropped", Cache.CompactDropped);
-    Line("cache.profile_gated", Cache.ProfileGated);
-    Line("cache.warm_restored", Cache.WarmRestored);
-    for (const WorkerLoadRow &W : WorkerLoads) {
-      auto WLine = [&](const char *Path, uint64_t V) {
-        OS << Prefix << ".worker." << W.Worker << '.' << Path << ' ' << V
-           << '\n';
-      };
-      WLine("queue_high_water", W.QueueHighWater);
-      WLine("shed", W.Shed);
-      WLine("deadline_misses", W.DeadlineMisses);
-      WLine("retried", W.Retried);
-      WLine("breaker_opens", W.BreakerOpens);
-      WLine("served", W.Served);
-      WLine("errors", W.Errors);
-    }
-  }
-  if (Net.Connections || Net.FramesIn) {
-    Line("net.connections", Net.Connections);
-    Line("net.disconnects", Net.Disconnects);
-    Line("net.frames_in", Net.FramesIn);
-    Line("net.frames_out", Net.FramesOut);
-    Line("net.bytes_in", Net.BytesIn);
-    Line("net.bytes_out", Net.BytesOut);
-    Line("net.read_batches", Net.ReadBatches);
-    Line("net.batched_frames", Net.BatchedFrames);
-    Line("net.submits", Net.Submits);
-    Line("net.invalidates", Net.Invalidates);
-    Line("net.stats_requests", Net.StatsRequests);
-    Line("net.errors_out", Net.ErrorsOut);
-    Line("net.protocol_errors", Net.ProtocolErrors);
-    Line("net.pipeline_high_water", Net.PipelineHighWater);
-    Line("net.cap_rejects", Net.CapRejects);
-  }
-  if (Reactor.Wakeups || Reactor.OpenConns || Reactor.IdleClosed) {
-    Line("reactor.wakeups", Reactor.Wakeups);
-    Line("reactor.events_dispatched", Reactor.EventsDispatched);
-    OS << Prefix << ".reactor.wakeup_batch " << Reactor.wakeupBatch() << '\n';
-    Line("reactor.timer_ticks", Reactor.TimerTicks);
-    Line("reactor.idle_closed", Reactor.IdleClosed);
-    Line("reactor.accept_rejects", Reactor.AcceptRejects);
-    Line("reactor.write_stalls", Reactor.WriteStalls);
-    Line("reactor.write_stall_peak_bytes", Reactor.WriteStallPeakBytes);
-    Line("reactor.open_conns", Reactor.OpenConns);
-    Line("reactor.peak_conns", Reactor.PeakConns);
-  }
-  for (const ShardLoadRow &S : ShardLoads) {
-    auto SLine = [&](const char *Path, uint64_t V) {
-      OS << Prefix << ".shard." << S.Shard << '.' << Path << ' ' << V << '\n';
-    };
-    SLine("connections", S.Net.Connections);
-    SLine("disconnects", S.Net.Disconnects);
-    SLine("frames_in", S.Net.FramesIn);
-    SLine("frames_out", S.Net.FramesOut);
-    SLine("bytes_in", S.Net.BytesIn);
-    SLine("bytes_out", S.Net.BytesOut);
-    SLine("submits", S.Net.Submits);
-    SLine("cap_rejects", S.Net.CapRejects);
-    SLine("wakeups", S.Reactor.Wakeups);
-    SLine("events_dispatched", S.Reactor.EventsDispatched);
-    SLine("idle_closed", S.Reactor.IdleClosed);
-    SLine("accept_rejects", S.Reactor.AcceptRejects);
-    SLine("open_conns", S.Reactor.OpenConns);
-    SLine("peak_conns", S.Reactor.PeakConns);
-  }
-  for (const EntryPointProfile &P : Entries) {
-    auto Entry = [&](const char *Path, uint64_t V) {
-      OS << Prefix << ".entry." << P.Fn << '.' << Path << ' ' << V << '\n';
-    };
-    Entry("specializations", P.Specializations);
-    Entry("memo_hits", P.MemoHits);
-    Entry("dyn_words", P.DynWords);
-    Entry("gen_instrs", P.GenInstrs);
-    Entry("calls", P.Calls);
-  }
+namespace {
+
+bool hasReactorSection(const TelemetrySnapshot &T) {
+  return T.Reactor.Wakeups || T.Reactor.OpenConns || T.Reactor.IdleClosed;
 }
 
-std::string TelemetrySnapshot::text(const std::string &Prefix) const {
+/// The one place metric names are spelled. With \p SummaryOnly, keeps
+/// just the fields summaryLine() shows (those added with Summary).
+MetricList buildMetrics(const TelemetrySnapshot &T, bool SummaryOnly) {
+  MetricList L;
+  constexpr bool Summary = true;
+  auto Add = [&](std::string Name, uint64_t V, bool InSummary = false) {
+    if (!SummaryOnly || InSummary)
+      L.emplace_back(std::move(Name), V);
+  };
+  Add("vm.executed", T.Vm.Executed, Summary);
+  Add("vm.executed_static", T.Vm.ExecutedStatic);
+  Add("vm.executed_dynamic", T.Vm.ExecutedDynamic);
+  Add("vm.loads", T.Vm.Loads);
+  Add("vm.stores", T.Vm.Stores);
+  Add("vm.dyn_words_written", T.Vm.DynWordsWritten);
+  Add("vm.flushes", T.Vm.Flushes);
+  Add("vm.flushed_bytes", T.Vm.FlushedBytes);
+  Add("vm.cycles", T.Vm.Cycles);
+  Add("memo.generator_runs", T.Memo.GeneratorRuns, Summary);
+  Add("memo.hits", T.Memo.MemoHits, Summary);
+  Add("memo.misses", T.Memo.MemoMisses);
+  Add("memo.gen_executed", T.Memo.GenExecuted);
+  Add("memo.gen_dyn_words", T.Memo.GenDynWords, Summary);
+  Add("recovery.watermark_resets", T.Recovery.WatermarkResets, Summary);
+  Add("recovery.fault_resets", T.Recovery.FaultResets, Summary);
+  Add("recovery.recovered_retries", T.Recovery.RecoveredRetries);
+  Add("recovery.generator_faults", T.Recovery.GeneratorFaults);
+  Add("recovery.plain_fallback_calls", T.Recovery.PlainFallbackCalls);
+  Add("decode_cache.blocks_built", T.DecodeCache.BlocksBuilt);
+  Add("decode_cache.block_runs", T.DecodeCache.BlockRuns);
+  Add("decode_cache.fast_insts", T.DecodeCache.FastInsts);
+  Add("decode_cache.slow_insts", T.DecodeCache.SlowInsts);
+  Add("decode_cache.fused_ops", T.DecodeCache.FusedOps);
+  Add("decode_cache.invalidations", T.DecodeCache.Invalidations);
+  Add("machine.code_epoch", T.CodeEpoch, Summary);
+  Add("machine.specializations_live", T.SpecializationsLive, Summary);
+  Add("machine.code_space_used", T.CodeSpaceUsed);
+  Add("machine.degraded", T.DegradedMachines, Summary);
+  Add("trace.recorded", T.TraceRecorded);
+  Add("trace.dropped", T.TraceDropped);
+  if (T.Workers) {
+    Add("server.workers", T.Workers, Summary);
+    Add("server.submitted", T.Submitted);
+    Add("server.served", T.Served, Summary);
+    Add("server.errors", T.Errors, Summary);
+    Add("server.rejected", T.Rejected);
+    Add("server.coalesced", T.Coalesced, Summary);
+    Add("server.queue_high_water", T.QueueHighWater);
+    Add("server.busy_cycles_total", T.BusyCyclesTotal);
+    Add("server.busy_cycles_max", T.BusyCyclesMax);
+    Add("server.heap_recycles", T.HeapRecycles);
+    Add("server.shed", T.Overload.Shed, Summary);
+    Add("server.deadline_misses", T.Overload.DeadlineMisses, Summary);
+    Add("server.retried", T.Overload.Retried, Summary);
+    Add("server.retry_successes", T.Overload.RetrySuccesses);
+    Add("server.breaker_opens", T.Overload.BreakerOpens, Summary);
+    Add("server.breaker_fallbacks", T.Overload.BreakerFallbacks);
+    Add("server.breaker_probes", T.Overload.BreakerProbes);
+    Add("server.breaker_fast_fails", T.Overload.BreakerFastFails);
+    Add("server.breakers_open", T.BreakersOpen);
+    Add("server.latency_count", T.Latency.Count);
+    Add("server.latency_p50_ns", T.Latency.quantileNs(0.50));
+    Add("server.latency_p99_ns", T.Latency.quantileNs(0.99));
+    Add("server.latency_max_ns", T.Latency.MaxNs);
+    Add("cache.hits", T.Cache.Hits, Summary);
+    Add("cache.misses", T.Cache.Misses, Summary);
+    Add("cache.evictions", T.Cache.Evictions);
+    Add("cache.rehydrations", T.Cache.Rehydrations);
+    Add("cache.invalidated", T.Cache.Invalidated);
+    Add("cache.admission_rejects", T.Cache.AdmissionRejects);
+    Add("cache.admission_admits", T.Cache.AdmissionAdmits);
+    Add("cache.compactions", T.Cache.Compactions);
+    Add("cache.compact_kept", T.Cache.CompactKept);
+    Add("cache.compact_dropped", T.Cache.CompactDropped);
+    Add("cache.profile_gated", T.Cache.ProfileGated);
+    Add("cache.warm_restored", T.Cache.WarmRestored);
+    for (const WorkerLoadRow &W : T.WorkerLoads) {
+      std::string P = "worker." + std::to_string(W.Worker) + '.';
+      Add(P + "queue_high_water", W.QueueHighWater, Summary);
+      Add(P + "shed", W.Shed);
+      Add(P + "deadline_misses", W.DeadlineMisses);
+      Add(P + "retried", W.Retried);
+      Add(P + "breaker_opens", W.BreakerOpens);
+      Add(P + "served", W.Served);
+      Add(P + "errors", W.Errors);
+    }
+  }
+  if (T.Net.Connections || T.Net.FramesIn) {
+    Add("net.connections", T.Net.Connections);
+    Add("net.disconnects", T.Net.Disconnects);
+    Add("net.frames_in", T.Net.FramesIn);
+    Add("net.frames_out", T.Net.FramesOut);
+    Add("net.bytes_in", T.Net.BytesIn);
+    Add("net.bytes_out", T.Net.BytesOut);
+    Add("net.read_batches", T.Net.ReadBatches);
+    Add("net.batched_frames", T.Net.BatchedFrames);
+    Add("net.submits", T.Net.Submits);
+    Add("net.invalidates", T.Net.Invalidates);
+    Add("net.stats_requests", T.Net.StatsRequests);
+    Add("net.errors_out", T.Net.ErrorsOut);
+    Add("net.protocol_errors", T.Net.ProtocolErrors);
+    Add("net.pipeline_high_water", T.Net.PipelineHighWater);
+    Add("net.cap_rejects", T.Net.CapRejects);
+  }
+  if (hasReactorSection(T)) {
+    Add("reactor.shards", T.ShardLoads.size());
+    Add("reactor.wakeups", T.Reactor.Wakeups);
+    Add("reactor.events_dispatched", T.Reactor.EventsDispatched);
+    Add("reactor.timer_ticks", T.Reactor.TimerTicks);
+    Add("reactor.idle_closed", T.Reactor.IdleClosed);
+    Add("reactor.accept_rejects", T.Reactor.AcceptRejects);
+    Add("reactor.write_stalls", T.Reactor.WriteStalls);
+    Add("reactor.write_stall_peak_bytes", T.Reactor.WriteStallPeakBytes);
+    Add("reactor.open_conns", T.Reactor.OpenConns);
+    Add("reactor.peak_conns", T.Reactor.PeakConns);
+  }
+  for (const ShardLoadRow &S : T.ShardLoads) {
+    std::string P = "shard." + std::to_string(S.Shard) + '.';
+    Add(P + "connections", S.Net.Connections);
+    Add(P + "disconnects", S.Net.Disconnects);
+    Add(P + "frames_in", S.Net.FramesIn);
+    Add(P + "frames_out", S.Net.FramesOut);
+    Add(P + "bytes_in", S.Net.BytesIn);
+    Add(P + "bytes_out", S.Net.BytesOut);
+    Add(P + "submits", S.Net.Submits);
+    Add(P + "cap_rejects", S.Net.CapRejects);
+    Add(P + "wakeups", S.Reactor.Wakeups);
+    Add(P + "events_dispatched", S.Reactor.EventsDispatched);
+    Add(P + "idle_closed", S.Reactor.IdleClosed);
+    Add(P + "accept_rejects", S.Reactor.AcceptRejects);
+    Add(P + "open_conns", S.Reactor.OpenConns);
+    Add(P + "peak_conns", S.Reactor.PeakConns);
+  }
+  for (const EntryPointProfile &E : T.Entries) {
+    std::string P = "entry." + E.Fn + '.';
+    Add(P + "specializations", E.Specializations);
+    Add(P + "memo_hits", E.MemoHits);
+    Add(P + "dyn_words", E.DynWords);
+    Add(P + "gen_instrs", E.GenInstrs);
+    Add(P + "calls", E.Calls);
+  }
+  return L;
+}
+
+/// The derived ratios writeText prints after the list. The first is the
+/// paper's headline number, which summaryLine also shows.
+std::vector<std::pair<const char *, double>>
+derivedRatios(const TelemetrySnapshot &T) {
+  std::vector<std::pair<const char *, double>> R{
+      {"memo.generator_efficiency", T.generatorEfficiency()}};
+  if (hasReactorSection(T))
+    R.emplace_back("reactor.wakeup_batch", T.Reactor.wakeupBatch());
+  return R;
+}
+
+} // namespace
+
+MetricList TelemetrySnapshot::metrics() const {
+  return buildMetrics(*this, /*SummaryOnly=*/false);
+}
+
+void TelemetrySnapshot::writeText(std::ostream &OS) const {
+  for (const auto &[Name, V] : metrics())
+    OS << "fab." << Name << ' ' << V << '\n';
+  for (const auto &[Name, V] : derivedRatios(*this))
+    OS << "fab." << Name << ' ' << V << '\n';
+}
+
+std::string TelemetrySnapshot::text() const {
   std::ostringstream OS;
-  writeText(OS, Prefix);
+  writeText(OS);
   return OS.str();
 }
 
 std::string TelemetrySnapshot::summaryLine() const {
   std::ostringstream OS;
-  if (Workers) {
-    OS << "workers=" << Workers << " served=" << Served
-       << " errors=" << Errors << " coalesced=" << Coalesced
-       << " cache_hit=" << Cache.Hits << "/" << (Cache.Hits + Cache.Misses)
-       << " shed=" << Overload.Shed << " dl_miss=" << Overload.DeadlineMisses
-       << " retried=" << Overload.Retried
-       << " brk_open=" << Overload.BreakerOpens;
-    if (!WorkerLoads.empty()) {
-      // Per-worker queue high-water marks, in worker order, so a single
-      // backed-up worker is visible in the live reporter line.
-      OS << " q_hw=[";
-      for (size_t I = 0; I < WorkerLoads.size(); ++I)
-        OS << (I ? "," : "") << WorkerLoads[I].QueueHighWater;
-      OS << ']';
-    }
-    OS << ' ';
-  }
-  OS << "exec=" << Vm.Executed << " gen_runs=" << Memo.GeneratorRuns
-     << " memo_hits=" << Memo.MemoHits << " gen_words=" << Memo.GenDynWords
-     << " eff=" << generatorEfficiency() << " resets="
-     << (Recovery.WatermarkResets + Recovery.FaultResets)
-     << " live=" << SpecializationsLive << " epoch=" << CodeEpoch;
-  if (DegradedMachines)
-    OS << " degraded=" << DegradedMachines;
+  for (const auto &[Name, V] : buildMetrics(*this, /*SummaryOnly=*/true))
+    OS << Name << '=' << V << ' ';
+  const auto [Name, V] = derivedRatios(*this).front();
+  OS << Name << '=' << V;
   return OS.str();
 }
 

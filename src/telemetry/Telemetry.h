@@ -12,9 +12,10 @@
 /// pool counters. Machine::telemetry() fills the machine-level fields;
 /// SpecServer::telemetry() sums worker snapshots with operator+=.
 ///
-/// Exporters: writeText() emits one line per metric (scrape-friendly
-/// `prefix.path value`); writeChromeTrace() serializes TraceRing events
-/// as Chrome trace_event JSON loadable in chrome://tracing or Perfetto.
+/// Exporters: metrics() is the one list of metric names; writeText(),
+/// summaryLine(), the wire StatsReply and the fabserve/fabc printouts
+/// all render it. writeChromeTrace() serializes TraceRing events as
+/// Chrome trace_event JSON loadable in chrome://tracing or Perfetto.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +27,14 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fab {
+
+/// Integer metrics as (dotted name, value) pairs, e.g. ("vm.executed",
+/// 123456) or ("worker.0.served", 17).
+using MetricList = std::vector<std::pair<std::string, uint64_t>>;
 
 /// Per-entry-point specialization profile, accumulated by the Machine
 /// facade (specialize() and the by-name/at-address call paths).
@@ -141,12 +147,18 @@ struct TelemetrySnapshot {
 
   TelemetrySnapshot &operator+=(const TelemetrySnapshot &R);
 
-  /// One line per metric: `<prefix>.<path> <value>`.
-  void writeText(std::ostream &OS, const std::string &Prefix = "fab") const;
-  std::string text(const std::string &Prefix = "fab") const;
+  /// Every integer metric, in a fixed order: machine, server (with one
+  /// row per worker), net, reactor, one row per shard, one row per entry
+  /// point. A section whose counters are all unset is left out.
+  MetricList metrics() const;
 
-  /// One-line human summary for live reporting (fabserve
-  /// --report-interval).
+  /// One line per metrics() entry, `fab.<name> <value>`, then the
+  /// derived ratios memo.generator_efficiency and reactor.wakeup_batch.
+  void writeText(std::ostream &OS) const;
+  std::string text() const;
+
+  /// One-line `name=value` summary of selected metrics() entries for
+  /// live reporting (fabserve --report-interval).
   std::string summaryLine() const;
 };
 

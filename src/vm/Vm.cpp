@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 
 using namespace fab;
@@ -245,7 +246,9 @@ Vm::Vm(VmOptions Options) : Opts(Options) {
       Opts.EnableDecodeCache = false;
   Ring.reset(Opts.TraceCapacity);
   Ring.setEnabled(Opts.EnableTrace);
-  Mem.resize(MemBytes, 0);
+  Mem.reset(static_cast<uint8_t *>(std::calloc(MemBytes, 1)));
+  if (!Mem)
+    throw std::bad_alloc();
   if (Opts.EnableDecodeCache)
     Quick.assign(QuickSlots, nullptr);
 }

@@ -32,7 +32,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,10 +60,6 @@ enum class Fault {
   ProgramTrap,      ///< Ext/Trap executed; see TrapValue
   CodeSpaceExhausted, ///< dynamic-code emission past [DynLo, DynHi)
 };
-
-// VmStats and DecodeCacheStats moved to telemetry/Stats.h (included
-// above) so the telemetry layer can aggregate them without depending on
-// the VM; this header keeps exporting both names unchanged.
 
 /// Deterministic fault injection for testing failure paths (the machine
 /// layer's recovery logic, harness error reporting, benchmark guard rails).
@@ -180,10 +178,9 @@ public:
   /// guest work). Only dynamic-segment lines can be dirty, so the walk is
   /// clamped to the segment; a range ending near 2^32 does not wrap.
   void flushIcache(uint32_t Addr, uint32_t Len);
-  uint32_t memBytes() const { return static_cast<uint32_t>(Mem.size()); }
   /// Raw memory for snapshot/diff assertions (e.g. proving a faulting
   /// emission left adjacent regions untouched).
-  const std::vector<uint8_t> &memory() const { return Mem; }
+  std::span<const uint8_t> memory() const { return {Mem.get(), MemBytes}; }
 
   // -- Register access ------------------------------------------------------
 
@@ -247,9 +244,9 @@ public:
   std::string disassembleRange(uint32_t Addr, unsigned Count) const;
 
 private:
-  // Mem.size() is word-aligned and nonzero, so the subtraction cannot
+  // MemBytes is word-aligned and nonzero, so the subtraction cannot
   // wrap; the naive `Addr + 3 < size` form wrapped for Addr >= 0xFFFFFFFC.
-  bool inBounds(uint32_t Addr) const { return Addr <= Mem.size() - 4; }
+  bool inBounds(uint32_t Addr) const { return Addr <= MemBytes - 4; }
   bool inDynRegion(uint32_t Addr) const {
     return Addr >= DynLo && Addr < DynHi;
   }
@@ -345,7 +342,12 @@ private:
   }
 
   VmOptions Opts;
-  std::vector<uint8_t> Mem;
+  struct FreeMem {
+    void operator()(uint8_t *P) const { std::free(P); }
+  };
+  /// MemBytes of guest memory from calloc, so the OS zeroes each page on
+  /// first touch rather than the constructor writing all 64 MiB.
+  std::unique_ptr<uint8_t[], FreeMem> Mem;
   uint32_t Regs[32] = {0};
   VmStats Stats;
   uint64_t CoherenceViolations = 0;

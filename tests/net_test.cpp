@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <thread>
 
 using namespace fab;
@@ -186,11 +187,11 @@ TEST(WireCodec, ReplyRoundTrips) {
   EXPECT_EQ(EB.RetryAfterUs, 250u);
   EXPECT_EQ(EB.Message, "queue full");
 
-  StatsPairs Pairs = {{"served", 41}, {"errors", 1}};
+  MetricList Pairs = {{"served", 41}, {"errors", 1}};
   std::vector<uint8_t> S = encodeStatsReply(11, Pairs);
   FR.feed(S.data(), S.size());
   ASSERT_EQ(FR.next(F), FrameReader::Status::Ready);
-  StatsPairs Out;
+  MetricList Out;
   ASSERT_TRUE(decodeStatsReply(F, Out));
   EXPECT_EQ(Out, Pairs);
 
@@ -255,6 +256,43 @@ TEST(WireCodec, DecodeRejectsMalformedPayloads) {
   EXPECT_FALSE(decodeSubmit(Big, Out));
 }
 
+TEST(WireCodec, StatsReplyNeverExceedsWhatTheClientDecodes) {
+  // A snapshot with many worker, shard and entry rows: its metric list is
+  // longer than one StatsReply may carry.
+  TelemetrySnapshot T;
+  T.Workers = 64;
+  for (unsigned W = 0; W < 64; ++W)
+    T.WorkerLoads.push_back({W, W, 0, 0, 0, 0, W, 0});
+  T.Net.Connections = 1;
+  T.Reactor.Wakeups = 1;
+  for (unsigned Sh = 0; Sh < 64; ++Sh)
+    T.ShardLoads.push_back({Sh, {}, {}});
+  for (int I = 0; I < 1000; ++I)
+    T.Entries.push_back({"fn" + std::to_string(I), 1, 0, 0, 0, 1});
+  const MetricList All = T.metrics();
+  ASSERT_GT(All.size(), MaxStatsPairs);
+
+  FrameReader FR;
+  Frame F;
+  std::vector<uint8_t> B = encodeStatsReply(7, All);
+  FR.feed(B.data(), B.size());
+  ASSERT_EQ(FR.next(F), FrameReader::Status::Ready);
+  MetricList Out;
+  ASSERT_TRUE(decodeStatsReply(F, Out));
+  // The reply is the list's first MaxStatsPairs entries; the aggregate
+  // sections come before the per-row ones, so they all arrive.
+  ASSERT_EQ(Out.size(), MaxStatsPairs);
+  EXPECT_TRUE(std::equal(Out.begin(), Out.end(), All.begin()));
+
+  // A list within the cap arrives whole.
+  T.Entries.resize(10);
+  B = encodeStatsReply(8, T.metrics());
+  FR.feed(B.data(), B.size());
+  ASSERT_EQ(FR.next(F), FrameReader::Status::Ready);
+  ASSERT_TRUE(decodeStatsReply(F, Out));
+  EXPECT_EQ(Out, T.metrics());
+}
+
 TEST(WireCodec, OversizedFrameRefusedBeforeAllocation) {
   FrameReader FR(/*MaxFrameBytes=*/1024);
   std::vector<uint8_t> Hdr;
@@ -305,7 +343,7 @@ TEST(WireLoopback, PingCallInvalidateStats) {
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(R.Value, 32);
 
-  StatsPairs P;
+  MetricList P;
   ASSERT_TRUE(Cl.stats(P));
   auto get = [&](const std::string &K) -> uint64_t {
     for (const auto &KV : P)
@@ -314,9 +352,65 @@ TEST(WireLoopback, PingCallInvalidateStats) {
     ADD_FAILURE() << "missing stats key " << K;
     return 0;
   };
-  EXPECT_EQ(get("cache_invalidated"), 1u);
-  EXPECT_GE(get("served"), 3u);
-  EXPECT_GE(get("net_frames_in"), 5u);
+  EXPECT_EQ(get("cache.invalidated"), 1u);
+  EXPECT_GE(get("server.served"), 3u);
+  EXPECT_GE(get("net.frames_in"), 5u);
+}
+
+TEST(WireLoopback, StatsReplyAndWriteTextRenderTheMetricList) {
+  Compilation C = compileOrDie(mixedSrc(), mixedOptions());
+  LoopbackServer S(C);
+  FabClient Cl = S.client();
+  // The same key twice: one cache miss, then one hit.
+  for (int I = 0; I < 2; ++I) {
+    WireReply R = Cl.call(
+        "dotloop", {Value::ofVec({1, 2, 3}), Value::ofInt(0), Value::ofInt(3)},
+        {Value::ofVec({4, 5, 6}), Value::ofInt(0)});
+    ASSERT_TRUE(R.Ok) << R.Message;
+  }
+
+  MetricList Reply;
+  ASSERT_TRUE(Cl.stats(Reply));
+  const TelemetrySnapshot T = S.Wire->telemetry();
+  const MetricList Local = T.metrics();
+
+  // Same names, same order. The stats exchange itself moves only net and
+  // reactor counters, so served work and cache counters agree exactly.
+  auto names = [](const MetricList &L) {
+    std::vector<std::string> N;
+    for (const auto &KV : L)
+      N.push_back(KV.first);
+    return N;
+  };
+  EXPECT_EQ(names(Reply), names(Local));
+  auto value = [](const MetricList &L, const std::string &Name) -> uint64_t {
+    for (const auto &[N, V] : L)
+      if (N == Name)
+        return V;
+    ADD_FAILURE() << "missing metric " << Name;
+    return 0;
+  };
+  for (const char *Name : {"server.served", "cache.hits", "cache.misses",
+                           "memo.gen_dyn_words", "entry.dotloop.calls"})
+    EXPECT_EQ(value(Reply, Name), value(Local, Name)) << Name;
+  EXPECT_EQ(value(Reply, "server.served"), 2u);
+  EXPECT_EQ(value(Reply, "cache.hits"), 1u);
+  EXPECT_EQ(value(Reply, "reactor.shards"), S.Wire->shards());
+
+  // writeText: one `fab.<name> <value>` line per list entry, in order,
+  // then exactly the two derived ratios.
+  std::istringstream Text(T.text());
+  std::string Line;
+  for (const auto &[N, V] : Local) {
+    ASSERT_TRUE(std::getline(Text, Line));
+    EXPECT_EQ(Line, "fab." + N + " " + std::to_string(V));
+  }
+  for (const char *Ratio :
+       {"fab.memo.generator_efficiency ", "fab.reactor.wakeup_batch "}) {
+    ASSERT_TRUE(std::getline(Text, Line));
+    EXPECT_EQ(Line.rfind(Ratio, 0), 0u) << Line;
+  }
+  EXPECT_FALSE(std::getline(Text, Line)) << Line;
 }
 
 TEST(WireLoopback, PipelinedRepliesArriveOutOfOrderSafely) {

@@ -520,7 +520,7 @@ TEST(SpecServer, BoundedQueueShedsWithRejected) {
   EXPECT_NE(Text.find("fab.server.shed 2\n"), std::string::npos) << Text;
   EXPECT_NE(Text.find("fab.worker.0.shed 2\n"), std::string::npos) << Text;
   EXPECT_NE(Text.find("fab.worker.0.queue_high_water"), std::string::npos);
-  EXPECT_NE(T.summaryLine().find("shed=2"), std::string::npos)
+  EXPECT_NE(T.summaryLine().find("server.shed=2"), std::string::npos)
       << T.summaryLine();
 }
 

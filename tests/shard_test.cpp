@@ -275,13 +275,13 @@ TEST(ShardInvalidate, BroadcastIsObservedByClientsOnOtherShards) {
   }
 
   // The invalidation is visible in the shared counters from any shard.
-  StatsPairs P;
+  MetricList P;
   ASSERT_TRUE(Cls[1].stats(P));
   uint64_t Invalidated = 0, Shards = 0;
   for (const auto &KV : P) {
-    if (KV.first == "cache_invalidated")
+    if (KV.first == "cache.invalidated")
       Invalidated = KV.second;
-    if (KV.first == "reactor_shards")
+    if (KV.first == "reactor.shards")
       Shards = KV.second;
   }
   EXPECT_GE(Invalidated, 1u);

@@ -308,7 +308,7 @@ TEST(WireCodecFuzz, RandomBytesNeverOverread) {
       std::string Fn;
       int32_t V;
       ErrorBody EB;
-      StatsPairs SP;
+      MetricList SP;
       uint64_t U;
       (void)decodeSubmit(F, SB);
       (void)decodeInvalidate(F, Fn);

@@ -16,8 +16,10 @@
 //   --no-templates     emit dynamic code word-by-word (li/sw) instead of
 //                      copying pre-encoded templates; generated code is
 //                      byte-identical, only generator speed changes
-//   --disasm FN        disassemble FN's static code (first 64 words)
-//   --stats            print simulator statistics after the call
+//   --disasm FN        disassemble FN's static code up to the next symbol,
+//                      and for a staged FN its generator too
+//   --stats            print the telemetry snapshot after the call
+//                      (TelemetrySnapshot::writeText)
 //   --trace FILE       record lifecycle events (specialize/memo/reset/...)
 //                      and write them as Chrome trace_event JSON, loadable
 //                      in chrome://tracing or Perfetto (docs/TELEMETRY.md)
@@ -41,6 +43,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -172,8 +176,25 @@ int main(int Argc, char **Argv) {
     auto It = C->Unit.FnAddr.find(DisasmFn);
     if (It == C->Unit.FnAddr.end())
       usage(("unknown function " + DisasmFn).c_str());
-    std::printf("\n%s at 0x%08x:\n%s", DisasmFn.c_str(), It->second,
-                M.vm().disassembleRange(It->second, 64).c_str());
+    // A routine runs from its symbol to the next one, or to the end of
+    // the static code.
+    std::set<uint32_t> Starts;
+    for (const auto &[Name, Addr] : C->Unit.FnAddr)
+      Starts.insert(Addr);
+    for (const auto &[Name, Addr] : C->Unit.GenAddr)
+      Starts.insert(Addr);
+    const uint32_t CodeEnd =
+        C->Unit.CodeBase + static_cast<uint32_t>(C->Unit.Code.size() * 4);
+    auto Print = [&](const char *Kind, uint32_t Addr) {
+      auto Next = Starts.upper_bound(Addr);
+      unsigned Words = ((Next == Starts.end() ? CodeEnd : *Next) - Addr) / 4;
+      std::printf("\n%s%s at 0x%08x (%u words):\n%s", DisasmFn.c_str(), Kind,
+                  Addr, Words, M.vm().disassembleRange(Addr, Words).c_str());
+    };
+    Print("", It->second);
+    auto Gen = C->Unit.GenAddr.find(DisasmFn);
+    if (Gen != C->Unit.GenAddr.end())
+      Print(" generator", Gen->second);
   }
 
   if (!CallFn.empty()) {
@@ -209,80 +230,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (Stats) {
-    // One read through the unified snapshot (docs/TELEMETRY.md); the
-    // human layout below is unchanged from the per-struct era.
-    const TelemetrySnapshot T = M.telemetry();
-    const VmStats &S = T.Vm;
-    std::printf("\nsimulator statistics:\n");
-    std::printf("  instructions executed : %llu (static %llu, generated "
-                "%llu)\n",
-                static_cast<unsigned long long>(S.Executed),
-                static_cast<unsigned long long>(S.ExecutedStatic),
-                static_cast<unsigned long long>(S.ExecutedDynamic));
-    std::printf("  instructions generated: %llu\n",
-                static_cast<unsigned long long>(S.DynWordsWritten));
-    std::printf("  cycles                : %llu (%.3f ms at 25 MHz)\n",
-                static_cast<unsigned long long>(S.Cycles),
-                static_cast<double>(S.Cycles) / 25000.0);
-    std::printf("  icache flushes        : %llu (%llu bytes)\n",
-                static_cast<unsigned long long>(S.Flushes),
-                static_cast<unsigned long long>(S.FlushedBytes));
-
-    const DecodeCacheStats &DC = T.DecodeCache;
-    std::printf("decode cache (host-side; off = reference interpreter):\n");
-    std::printf("  enabled               : %s\n",
-                M.vm().decodeCacheEnabled() ? "yes" : "no");
-    std::printf("  blocks built          : %llu (runs %llu, invalidations "
-                "%llu)\n",
-                static_cast<unsigned long long>(DC.BlocksBuilt),
-                static_cast<unsigned long long>(DC.BlockRuns),
-                static_cast<unsigned long long>(DC.Invalidations));
-    std::printf("  instructions          : %llu fast, %llu slow (%llu fused "
-                "pairs)\n",
-                static_cast<unsigned long long>(DC.FastInsts),
-                static_cast<unsigned long long>(DC.SlowInsts),
-                static_cast<unsigned long long>(DC.FusedOps));
-
-    const SpecializationStats &Sp = T.Memo;
-    std::printf("specialization statistics:\n");
-    std::printf("  generator runs        : %llu (memo hits %llu, misses "
-                "%llu)\n",
-                static_cast<unsigned long long>(Sp.GeneratorRuns),
-                static_cast<unsigned long long>(Sp.MemoHits),
-                static_cast<unsigned long long>(Sp.MemoMisses));
-    if (Sp.GenDynWords)
-      std::printf("  generator efficiency  : %.2f instructions per generated "
-                  "instruction (%llu / %llu)\n",
-                  T.generatorEfficiency(),
-                  static_cast<unsigned long long>(Sp.GenExecuted),
-                  static_cast<unsigned long long>(Sp.GenDynWords));
-    std::printf("  specializations live  : %llu (code epoch %llu)\n",
-                static_cast<unsigned long long>(T.SpecializationsLive),
-                static_cast<unsigned long long>(T.CodeEpoch));
-
-    const RecoveryStats &R = T.Recovery;
-    std::printf("recovery statistics:\n");
-    std::printf("  watermark resets      : %llu\n",
-                static_cast<unsigned long long>(R.WatermarkResets));
-    std::printf("  fault resets          : %llu (recovered retries %llu)\n",
-                static_cast<unsigned long long>(R.FaultResets),
-                static_cast<unsigned long long>(R.RecoveredRetries));
-    std::printf("  generator faults      : %llu\n",
-                static_cast<unsigned long long>(R.GeneratorFaults));
-    std::printf("  plain fallback calls  : %llu%s\n",
-                static_cast<unsigned long long>(R.PlainFallbackCalls),
-                M.degraded() ? " (machine degraded)" : "");
-
-    if (!T.Entries.empty()) {
-      std::printf("per entry point:\n");
-      for (const EntryPointProfile &P : T.Entries)
-        std::printf("  %-20s: %llu calls, %llu specializations "
-                    "(%llu memo hits), %llu words emitted\n",
-                    P.Fn.c_str(), static_cast<unsigned long long>(P.Calls),
-                    static_cast<unsigned long long>(P.Specializations),
-                    static_cast<unsigned long long>(P.MemoHits),
-                    static_cast<unsigned long long>(P.DynWords));
-    }
+    std::printf("\n");
+    M.telemetry().writeText(std::cout);
   }
 
   if (!TraceFile.empty()) {

@@ -217,7 +217,7 @@ int main(int argc, char **argv) {
     return 0;
   }
   if (Cmd == "stats") {
-    StatsPairs P;
+    MetricList P;
     if (!Cl.stats(P)) {
       std::fprintf(stderr, "fabctl: stats request failed\n");
       return 1;

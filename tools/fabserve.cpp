@@ -5,7 +5,7 @@
 // src/service/ stack (SpecServer over a MachinePool of FAB-32
 // machines), validates every result against host-side oracles (a plain
 // C++ dot product and the BPF reference interpreter), and prints the
-// aggregate telemetry snapshot.
+// aggregate telemetry snapshot (TelemetrySnapshot::writeText).
 //
 // Usage: fabserve [--workers N] [--requests N] [--rows N] [--len N]
 //                 [--seed S] [--no-cache] [--cache-capacity N]
@@ -433,96 +433,9 @@ int main(int argc, char **argv) {
 
   TelemetrySnapshot T = S.telemetry();
   std::printf("\nall %llu results validated against host oracles (%zu "
-              "mismatches)\n",
+              "mismatches)\n\n",
               static_cast<unsigned long long>(T.Served), Mismatches);
-  std::printf("\nserver statistics:\n");
-  std::printf("  served / errors       : %llu / %llu\n",
-              static_cast<unsigned long long>(T.Served),
-              static_cast<unsigned long long>(T.Errors));
-  std::printf("  pool makespan         : %llu cycles (%.3f ms at 25 MHz, "
-              "%.0f req/sim-second)\n",
-              static_cast<unsigned long long>(T.BusyCyclesMax),
-              static_cast<double>(T.BusyCyclesMax) / 25000.0,
-              T.BusyCyclesMax ? static_cast<double>(T.Served) * 25e6 /
-                                    static_cast<double>(T.BusyCyclesMax)
-                              : 0.0);
-  std::printf("  busy cycles (total)   : %llu across %u workers\n",
-              static_cast<unsigned long long>(T.BusyCyclesTotal), T.Workers);
-  std::printf("  queue high water      : %llu\n",
-              static_cast<unsigned long long>(T.QueueHighWater));
-  std::printf("  cache                 : %llu hits, %llu misses, %llu "
-              "evictions, %llu rehydrations (%.1f%% hit rate), %llu "
-              "coalesced\n",
-              static_cast<unsigned long long>(T.Cache.Hits),
-              static_cast<unsigned long long>(T.Cache.Misses),
-              static_cast<unsigned long long>(T.Cache.Evictions),
-              static_cast<unsigned long long>(T.Cache.Rehydrations),
-              100.0 * T.Cache.hitRate(),
-              static_cast<unsigned long long>(T.Coalesced));
-  if (T.Cache.AdmissionRejects || T.Cache.AdmissionAdmits ||
-      T.Cache.Compactions || T.Cache.ProfileGated || T.Cache.WarmRestored)
-    std::printf("  cache policy          : %llu admission rejects, %llu "
-                "second-sighting admits, %llu compactions (%llu kept / %llu "
-                "dropped), %llu profile-gated, %llu warm-restored\n",
-                static_cast<unsigned long long>(T.Cache.AdmissionRejects),
-                static_cast<unsigned long long>(T.Cache.AdmissionAdmits),
-                static_cast<unsigned long long>(T.Cache.Compactions),
-                static_cast<unsigned long long>(T.Cache.CompactKept),
-                static_cast<unsigned long long>(T.Cache.CompactDropped),
-                static_cast<unsigned long long>(T.Cache.ProfileGated),
-                static_cast<unsigned long long>(T.Cache.WarmRestored));
-  std::printf("  generator             : %llu runs (in-VM memo %llu hits, "
-              "%llu misses), %llu instr words\n",
-              static_cast<unsigned long long>(T.Memo.GeneratorRuns),
-              static_cast<unsigned long long>(T.Memo.MemoHits),
-              static_cast<unsigned long long>(T.Memo.MemoMisses),
-              static_cast<unsigned long long>(T.Vm.DynWordsWritten));
-  if (T.Memo.GenDynWords)
-    std::printf("  generator efficiency  : %.2f instructions per generated "
-                "instruction (%llu / %llu)\n",
-                T.generatorEfficiency(),
-                static_cast<unsigned long long>(T.Memo.GenExecuted),
-                static_cast<unsigned long long>(T.Memo.GenDynWords));
-  std::printf("  heap recycles         : %llu; degraded workers: %u\n",
-              static_cast<unsigned long long>(T.HeapRecycles),
-              T.DegradedMachines);
-  std::printf("  overload              : %llu shed, %llu deadline misses, "
-              "%llu retried (%llu recovered)\n",
-              static_cast<unsigned long long>(T.Overload.Shed),
-              static_cast<unsigned long long>(T.Overload.DeadlineMisses),
-              static_cast<unsigned long long>(T.Overload.Retried),
-              static_cast<unsigned long long>(T.Overload.RetrySuccesses));
-  std::printf("  breaker               : %llu opens, %llu fallback calls, "
-              "%llu probes, %llu fast fails (%u open now)\n",
-              static_cast<unsigned long long>(T.Overload.BreakerOpens),
-              static_cast<unsigned long long>(T.Overload.BreakerFallbacks),
-              static_cast<unsigned long long>(T.Overload.BreakerProbes),
-              static_cast<unsigned long long>(T.Overload.BreakerFastFails),
-              T.BreakersOpen);
-  if (T.Latency.Count)
-    std::printf("  latency               : p50 %.3f ms, p99 %.3f ms, max "
-                "%.3f ms (%llu samples)\n",
-                static_cast<double>(T.Latency.quantileNs(0.50)) / 1e6,
-                static_cast<double>(T.Latency.quantileNs(0.99)) / 1e6,
-                static_cast<double>(T.Latency.MaxNs) / 1e6,
-                static_cast<unsigned long long>(T.Latency.Count));
-  for (const WorkerLoadRow &W : T.WorkerLoads)
-    std::printf("  worker %-2u             : q_hw %llu, shed %llu, dl_miss "
-                "%llu, retried %llu, brk_opens %llu, served %llu, errors "
-                "%llu\n",
-                W.Worker, static_cast<unsigned long long>(W.QueueHighWater),
-                static_cast<unsigned long long>(W.Shed),
-                static_cast<unsigned long long>(W.DeadlineMisses),
-                static_cast<unsigned long long>(W.Retried),
-                static_cast<unsigned long long>(W.BreakerOpens),
-                static_cast<unsigned long long>(W.Served),
-                static_cast<unsigned long long>(W.Errors));
-  for (const EntryPointProfile &P : T.Entries)
-    std::printf("  entry %-15s: %llu calls, %llu specializations "
-                "(%llu memo hits)\n",
-                P.Fn.c_str(), static_cast<unsigned long long>(P.Calls),
-                static_cast<unsigned long long>(P.Specializations),
-                static_cast<unsigned long long>(P.MemoHits));
+  T.writeText(std::cout);
 
   if (!TraceFile.empty()) {
     std::ofstream Out(TraceFile);
